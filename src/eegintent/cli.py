@@ -13,6 +13,7 @@ import copy
 import hashlib
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,25 +43,19 @@ from .synth import SynthConfig, generate_dataset
 
 
 def default_run_config() -> dict:
+    # ModelConfig's defaults; the data sets n_channels and bin_freqs_hz, and
+    # bands come from the top-level section
+    model = {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in fields(ModelConfig)
+        if f.default is not MISSING
+    }
     return {
         "out_dir": "runs",
         "synth": SynthConfig().to_dict(),
         "welch": WelchConfig().to_dict(),
         "bands": BandTable().to_dict(),
-        "model": {
-            "encoder_dims": [256, 64],
-            "class_head_dims": [32, 4],
-            "domain_head_dims": [32, 2],
-            "gamma_sup": 0.2,
-            "lambda1": 0.3,
-            "lambda2": 0.3,
-            "mmd_bandwidth": 1.0,
-            "learning_rate": 0.05,
-            "epochs": 300,
-            "batch_size": 16,
-            "weight_init_scale": 0.3,
-            "seed": 11,
-        },
+        "model": {**model, "seed": 11},
         "split": {"test_fraction": 0.4, "seed": 77},
         "stats": {"alpha": 0.05},
         "report": {"seeds": 5},

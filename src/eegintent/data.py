@@ -22,7 +22,7 @@ from .errors import (
     MissingFile,
     NonFiniteSample,
 )
-from .montage import Montage, default_montage
+from .montage import default_montage
 
 N_CLASSES = 4
 
@@ -289,9 +289,3 @@ def stratified_split(
         dataset.class_labels(), dataset.domain_labels(), test_fraction, seed
     )
     return dataset.subset(train_idx), dataset.subset(test_idx)
-
-
-def validate_montage_cover(dataset: Dataset, montage: Montage) -> None:
-    """Check that every dataset channel resolves in the given montage."""
-    for name in dataset.channel_names:
-        montage.entry(name)

@@ -12,6 +12,8 @@ Total loss: l_class + lambda1 * l_domain + lambda2 * l_mmd.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -68,6 +70,18 @@ class ModelConfig:
         object.__setattr__(self, "encoder_dims", tuple(self.encoder_dims))
         object.__setattr__(self, "class_head_dims", tuple(self.class_head_dims))
         object.__setattr__(self, "domain_head_dims", tuple(self.domain_head_dims))
+        # bool is an Integral; JSON true must not pass as 1
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {v!r}")
+        for name in ("gamma_sup", "lambda1", "lambda2", "mmd_bandwidth",
+                     "learning_rate", "weight_init_scale"):
+            v = getattr(self, name)
+            if v is None and name == "mmd_bandwidth":
+                continue  # the per-batch median heuristic
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.n_channels < 1 or not self.bin_freqs_hz:
             raise ValueError("need at least one channel and one frequency bin")
         if not self.encoder_dims:
@@ -179,14 +193,6 @@ class ModelParams:
     def all_layers(self) -> list[Layer]:
         return [*self.encoder, *self.class_head, *self.domain_head]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            [Layer(l.w.copy(), l.b.copy()) for l in self.encoder],
-            [Layer(l.w.copy(), l.b.copy()) for l in self.class_head],
-            [Layer(l.w.copy(), l.b.copy()) for l in self.domain_head],
-            self.mask.copy(),
-        )
-
 
 def _init_stack(rng, dims, scale) -> list[Layer]:
     layers = []
@@ -225,6 +231,8 @@ def _stack_forward(layers: list[Layer], x: np.ndarray, relu_last: bool):
 
 
 def _stack_backward(layers, cache, d_out, relu_last: bool):
+    """Weight gradients and the gradient at the first layer's pre-activation;
+    no input gradient, which for the encoder would be an unused product."""
     acts, pre = cache
     grads = [None] * len(layers)
     d = d_out
@@ -232,8 +240,15 @@ def _stack_backward(layers, cache, d_out, relu_last: bool):
         if relu_last or i < len(layers) - 1:
             d = d * (pre[i] > 0)
         grads[i] = Layer(acts[i].T @ d, d.sum(axis=0))
-        d = d @ layers[i].w.T
+        if i > 0:
+            d = d @ layers[i].w.T
     return grads, d
+
+
+def _head_backward(head: list[Layer], cache, d_logits):
+    """Head weight gradients and the loss gradient at the head's embedding."""
+    grads, d = _stack_backward(head, cache, d_logits, relu_last=False)
+    return grads, d @ head[0].w.T
 
 
 def _check_features(params: ModelParams, x: np.ndarray) -> None:
@@ -242,6 +257,21 @@ def _check_features(params: ModelParams, x: np.ndarray) -> None:
         raise ShapeMismatch(
             f"feature dim {x.shape[-1]} does not match model input dim {expected}"
         )
+
+
+def _two_view_pass(params: ModelParams, x: np.ndarray):
+    """One encoder pass for both views, on the rows [x * mask; x], or on x
+    alone when the mask is the identity and the views coincide. Returns the
+    forward() outputs and the backward caches (shared, encoder, heads)."""
+    n = len(x)
+    shared = bool(np.all(params.mask == 1.0))
+    stacked = x if shared else np.vstack([x * params.mask, x])
+    emb, enc_cache = _stack_forward(params.encoder, stacked, relu_last=True)
+    emb_class, emb_domain = emb[:n], emb[len(emb) - n :]
+    class_logits, cls_cache = _stack_forward(params.class_head, emb_class, relu_last=False)
+    domain_logits, dom_cache = _stack_forward(params.domain_head, emb_domain, relu_last=False)
+    outputs = (class_logits, domain_logits, emb_class, emb_domain)
+    return outputs, (shared, enc_cache, cls_cache, dom_cache)
 
 
 def forward(params: ModelParams, x):
@@ -254,13 +284,10 @@ def forward(params: ModelParams, x):
     squeeze = x.ndim == 1
     xb = x[None, :] if squeeze else x
     _check_features(params, xb)
-    emb_class, _ = _stack_forward(params.encoder, xb * params.mask, relu_last=True)
-    emb_domain, _ = _stack_forward(params.encoder, xb, relu_last=True)
-    class_logits, _ = _stack_forward(params.class_head, emb_class, relu_last=False)
-    domain_logits, _ = _stack_forward(params.domain_head, emb_domain, relu_last=False)
+    outputs, _ = _two_view_pass(params, xb)
     if squeeze:
-        return class_logits[0], domain_logits[0], emb_class[0], emb_domain[0]
-    return class_logits, domain_logits, emb_class, emb_domain
+        return tuple(out[0] for out in outputs)
+    return outputs
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -355,10 +382,8 @@ def _loss_and_grads(params, x, y_class, y_domain, config, want_grads: bool):
     y_domain = np.asarray(y_domain, dtype=np.int64)
     n = len(x)
 
-    emb_class, cache_cls_view = _stack_forward(params.encoder, x * params.mask, True)
-    emb_domain, cache_dom_view = _stack_forward(params.encoder, x, True)
-    class_logits, cache_cls_head = _stack_forward(params.class_head, emb_class, False)
-    domain_logits, cache_dom_head = _stack_forward(params.domain_head, emb_domain, False)
+    (class_logits, domain_logits, _, emb_domain), caches = _two_view_pass(params, x)
+    shared, enc_cache, cls_cache, dom_cache = caches
 
     l_class = softmax_cross_entropy(class_logits, y_class)
     l_domain = softmax_cross_entropy(domain_logits, y_domain)
@@ -387,35 +412,24 @@ def _loss_and_grads(params, x, y_class, y_domain, config, want_grads: bool):
     # class path
     probs = np.exp(_log_softmax(class_logits))
     probs[np.arange(n), y_class] -= 1.0
-    d_class_logits = probs / n
-    cls_head_grads, d_emb_class = _stack_backward(
-        params.class_head, cache_cls_head, d_class_logits, False
-    )
-    enc_grads_masked, _ = _stack_backward(
-        params.encoder, cache_cls_view, d_emb_class, True
-    )
+    cls_head_grads, d_emb_class = _head_backward(params.class_head, cls_cache, probs / n)
 
     # domain path: weighted cross-entropy plus the MMD alignment term
     probs_d = np.exp(_log_softmax(domain_logits))
     probs_d[np.arange(n), y_domain] -= 1.0
-    d_domain_logits = config.lambda1 * probs_d / n
-    dom_head_grads, d_emb_domain = _stack_backward(
-        params.domain_head, cache_dom_head, d_domain_logits, False
+    dom_head_grads, d_emb_domain = _head_backward(
+        params.domain_head, dom_cache, config.lambda1 * probs_d / n
     )
     if config.lambda2 != 0.0 and sigma is not None and not single_domain:
         dx, dy = _mmd_embedding_grads(
             emb_domain[idx_correct], emb_domain[idx_mis], sigma
         )
-        d_emb_domain = d_emb_domain.copy()
         d_emb_domain[idx_correct] += config.lambda2 * dx
         d_emb_domain[idx_mis] += config.lambda2 * dy
-    enc_grads_raw, _ = _stack_backward(
-        params.encoder, cache_dom_view, d_emb_domain, True
-    )
 
-    encoder_grads = [
-        Layer(a.w + b.w, a.b + b.b) for a, b in zip(enc_grads_masked, enc_grads_raw)
-    ]
+    # one encoder backward for both views, rows aligned with the forward pass
+    d_emb = d_emb_class + d_emb_domain if shared else np.vstack([d_emb_class, d_emb_domain])
+    encoder_grads, _ = _stack_backward(params.encoder, enc_cache, d_emb, relu_last=True)
     grads = ModelParams(encoder_grads, cls_head_grads, dom_head_grads, params.mask)
     return grads, loss
 
@@ -483,8 +497,8 @@ def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
                 raise NonFiniteLoss(epoch)
             lr = cfg.learning_rate
             for layer, grad in zip(params.all_layers(), grads.all_layers()):
-                layer.w -= lr * grad.w
-                layer.b -= lr * grad.b
+                layer.w -= np.multiply(grad.w, lr, out=grad.w)  # no temporary
+                layer.b -= np.multiply(grad.b, lr, out=grad.b)
             sums += np.array([loss.l_class, loss.l_domain, loss.l_mmd]) * len(batch)
             count += len(batch)
             any_single = any_single or loss.single_domain

@@ -102,10 +102,6 @@ class WelchConfig:
                 f"overlap must be in [0, {self.segment_length}), got {self.overlap}"
             )
 
-    @property
-    def fft_length(self) -> int:
-        return self.segment_length
-
     def to_dict(self) -> dict:
         return {"segment_length": self.segment_length, "overlap": self.overlap}
 
@@ -241,7 +237,10 @@ class BandTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BandTable":
-        return cls(tuple(Band(name, lo, hi) for name, (lo, hi) in d.items()))
+        """Bands in any key order (a config file may have sorted keys),
+        ordered by lower edge; overlaps are still rejected."""
+        bands = [Band(name, lo, hi) for name, (lo, hi) in d.items()]
+        return cls(tuple(sorted(bands, key=lambda b: b.low_hz)))
 
 
 # --- per-trial features --------------------------------------------------

@@ -153,9 +153,6 @@ class TTestMap:
     p_adjusted: np.ndarray
     significant: np.ndarray
 
-    def significant_channels(self) -> tuple[str, ...]:
-        return tuple(np.asarray(self.channels)[self.significant])
-
 
 def band_topomaps(
     band_powers_correct: np.ndarray,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eegintent.cli import config_hash, default_run_config, load_run_config, main
+from eegintent.spectral import BandTable
 
 TINY_CONFIG = {
     "synth": {
@@ -33,6 +34,19 @@ def tiny_config_path(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def tiny_features(tmp_path_factory):
+    """A feature file of the tiny dataset, shared by tests that only train."""
+    out = tmp_path_factory.mktemp("tiny")
+    cfg = out / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    assert run("synth", "--config", str(cfg), "--out", str(out)) == 0
+    features = out / "features.bin"
+    assert run("features", "--config", str(cfg), "--dataset", str(out / "dataset.json"),
+               "--out", str(features)) == 0
+    return features
 
 
 class TestConfig:
@@ -119,6 +133,20 @@ class TestPipeline:
         svg_text = (out / "stats" / "topomap_delta.svg").read_text()
         assert chash in svg_text
 
+    def test_band_key_order_irrelevant(self, tmp_path, tiny_features):
+        config = {**TINY_CONFIG, "bands": BandTable().to_dict()}
+        models = []
+        for name, text in (("canonical", json.dumps(config)),
+                           ("sorted", json.dumps(config, sort_keys=True))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            model = tmp_path / f"{name}.bin"
+            assert run("train", "--config", str(path), "--features", str(tiny_features),
+                       "--out", str(model)) == 0
+            models.append(model.read_bytes())
+        assert text.index('"alpha"') < text.index('"delta"')  # really reordered
+        assert models[0] == models[1]
+
     def test_seed_flag_changes_dataset(self, tmp_path, tiny_config_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cfg = ["--config", str(tiny_config_path)]
@@ -172,6 +200,35 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "ShapeMismatch" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("epochs", "2"),
+            ("epochs", 0),
+            ("epochs", True),
+            ("epochs", 2.0),
+            ("batch_size", 0),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("learning_rate", "0.1"),
+            ("learning_rate", float("nan")),
+            ("lambda1", float("inf")),
+            ("gamma_sup", None),
+            ("mmd_bandwidth", "1.0"),
+        ],
+    )
+    def test_bad_model_value_names_value_error(self, tmp_path, tiny_features,
+                                               capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {**TINY_CONFIG, "model": {**TINY_CONFIG["model"], key: value}}))
+        code = run("train", "--config", str(path), "--features", str(tiny_features),
+                   "--out", str(tmp_path / "m.bin"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "train: ValueError" in err and key in err
+        assert not (tmp_path / "m.bin").exists()
 
     def test_cell_too_small_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

@@ -11,11 +11,17 @@ from eegintent.errors import (
 )
 from eegintent.model import (
     FeatureScaler,
+    Layer,
     ModelConfig,
+    ModelParams,
     TrainMode,
+    _log_softmax,
+    _mmd_embedding_grads,
+    _mmd_sigma,
     backward,
     band_mask_bins,
     compute_loss,
+    effective_config,
     forward,
     init_params,
     input_mask,
@@ -23,6 +29,7 @@ from eegintent.model import (
     median_heuristic,
     mmd_rbf,
     save_model,
+    softmax_cross_entropy,
     train,
 )
 from eegintent.spectral import BandTable
@@ -55,6 +62,76 @@ def toy_batch(seed=7, n=10):
     y_class = rng.integers(0, 4, n)
     y_domain = np.arange(n) % 2
     return x, y_class, y_domain
+
+
+# --- reference: the two-pass training step -------------------------------
+# Each view runs its own encoder pass and its own encoder backward, including
+# the input gradient, and the two encoder gradients are summed afterwards.
+
+def ref_stack_forward(layers, x, relu_last):
+    acts, pre, h = [x], [], x
+    for i, layer in enumerate(layers):
+        z = h @ layer.w + layer.b
+        pre.append(z)
+        h = np.maximum(z, 0.0) if (relu_last or i < len(layers) - 1) else z
+        acts.append(h)
+    return h, (acts, pre)
+
+
+def ref_stack_backward(layers, cache, d, relu_last):
+    acts, pre = cache
+    grads = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        if relu_last or i < len(layers) - 1:
+            d = d * (pre[i] > 0)
+        grads[i] = Layer(acts[i].T @ d, d.sum(axis=0))
+        d = d @ layers[i].w.T
+    return grads, d
+
+
+def reference_backward(params, x, y_class, y_domain, config):
+    n = len(x)
+    emb_c, cache_c = ref_stack_forward(params.encoder, x * params.mask, True)
+    emb_d, cache_d = ref_stack_forward(params.encoder, x, True)
+    logits_c, cache_head_c = ref_stack_forward(params.class_head, emb_c, False)
+    logits_d, cache_head_d = ref_stack_forward(params.domain_head, emb_d, False)
+
+    probs = np.exp(_log_softmax(logits_c))
+    probs[np.arange(n), y_class] -= 1.0
+    head_c, d_emb_c = ref_stack_backward(params.class_head, cache_head_c, probs / n, False)
+    enc_c, _ = ref_stack_backward(params.encoder, cache_c, d_emb_c, True)
+
+    probs_d = np.exp(_log_softmax(logits_d))
+    probs_d[np.arange(n), y_domain] -= 1.0
+    head_d, d_emb_d = ref_stack_backward(
+        params.domain_head, cache_head_d, config.lambda1 * probs_d / n, False
+    )
+    correct, mis = np.flatnonzero(y_domain == 0), np.flatnonzero(y_domain == 1)
+    sigma = _mmd_sigma(config, emb_d) if len(correct) and len(mis) else None
+    if config.lambda2 != 0.0 and sigma is not None:
+        dx, dy = _mmd_embedding_grads(emb_d[correct], emb_d[mis], sigma)
+        d_emb_d = d_emb_d.copy()
+        d_emb_d[correct] += config.lambda2 * dx
+        d_emb_d[mis] += config.lambda2 * dy
+    enc_d, _ = ref_stack_backward(params.encoder, cache_d, d_emb_d, True)
+
+    encoder = [Layer(a.w + b.w, a.b + b.b) for a, b in zip(enc_c, enc_d)]
+    return ModelParams(encoder, head_c, head_d, params.mask)
+
+
+def reference_train(x, y_class, y_domain, config):
+    """train()'s schedule (init, shuffles, batches) around reference_backward."""
+    params = init_params(config)
+    shuffle_rng = np.random.default_rng([config.seed, 0x5EED])
+    for _ in range(config.epochs):
+        perm = shuffle_rng.permutation(len(x))
+        for start in range(0, len(x), config.batch_size):
+            b = perm[start : start + config.batch_size]
+            grads = reference_backward(params, x[b], y_class[b], y_domain[b], config)
+            for layer, grad in zip(params.all_layers(), grads.all_layers()):
+                layer.w -= config.learning_rate * grad.w
+                layer.b -= config.learning_rate * grad.b
+    return params
 
 
 class TestConfig:
@@ -143,6 +220,24 @@ class TestForward:
         params = init_params(toy_config())
         with pytest.raises(ShapeMismatch):
             forward(params, np.zeros(13))
+
+    @pytest.mark.parametrize("gamma_sup", [0.2, 1.0])
+    def test_matches_training_step_pass(self, gamma_sup):
+        cfg = toy_config(gamma_sup=gamma_sup)
+        params = init_params(cfg)
+        x, yc, yd = toy_batch()
+        class_logits, domain_logits, emb_class, emb_domain = forward(params, x)
+        # the training step's losses, recomputed from forward's outputs
+        loss = compute_loss(params, x, yc, yd, cfg)
+        assert softmax_cross_entropy(class_logits, yc) == loss.l_class
+        assert softmax_cross_entropy(domain_logits, yd) == loss.l_domain
+        assert mmd_rbf(emb_domain[yd == 0], emb_domain[yd == 1], 1.0) == loss.l_mmd
+        # and each view is its own encoder pass; one stacked GEMM may round
+        # differently from two
+        ref_class, _ = ref_stack_forward(params.encoder, x * params.mask, True)
+        ref_domain, _ = ref_stack_forward(params.encoder, x, True)
+        np.testing.assert_allclose(emb_class, ref_class, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(emb_domain, ref_domain, rtol=1e-12, atol=0)
 
 
 class TestMmd:
@@ -295,6 +390,60 @@ class TestBackward:
         down = compute_loss(params, x, yc, yd, cfg_full).l_class
         w[0, 0] += eps
         assert g[0, 0] == pytest.approx((up - down) / (2 * eps), rel=1e-3, abs=1e-9)
+
+
+class TestReferenceStep:
+    """The fused step against the two-pass reference. Fusing reorders sums,
+    so float64 results agree to roundoff; in baseline mode (identity mask,
+    zero domain gradient) the arithmetic is unchanged and must be exact."""
+
+    @pytest.mark.parametrize(
+        "overrides, batch_seed, single_domain",
+        [
+            ({}, 7, False),
+            (dict(encoder_dims=(8, 5), class_head_dims=(6, 4),
+                  domain_head_dims=(3, 2), seed=12), 9, False),
+            (dict(mmd_bandwidth=None), 7, False),
+            ({}, 7, True),
+            (dict(gamma_sup=1.0), 7, False),  # identity mask: shared view
+        ],
+        ids=["toy", "two-hidden", "median-bandwidth", "single-domain", "gamma-one"],
+    )
+    def test_backward_matches_reference(self, overrides, batch_seed, single_domain):
+        cfg = toy_config(**overrides)
+        params = init_params(cfg)
+        x, yc, yd = toy_batch(seed=batch_seed)
+        if single_domain:
+            yd = np.zeros_like(yd)
+        fused = backward(params, x, yc, yd, cfg)
+        ref = reference_backward(params, x, yc, yd, cfg)
+        for a, b in zip(fused.all_layers(), ref.all_layers()):
+            np.testing.assert_allclose(a.w, b.w, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(a.b, b.b, rtol=1e-12, atol=0)
+
+    def test_baseline_backward_exact(self):
+        cfg = effective_config(toy_config(), TrainMode.BASELINE)
+        params = init_params(cfg)
+        x, yc, yd = toy_batch()
+        fused = backward(params, x, yc, yd, cfg)
+        ref = reference_backward(params, x, yc, yd, cfg)
+        for a, b in zip(fused.all_layers(), ref.all_layers()):
+            assert np.array_equal(a.w, b.w)
+            assert np.array_equal(a.b, b.b)
+
+    def test_train_matches_reference(self):
+        cfg = toy_config(epochs=5, batch_size=4, learning_rate=0.05)
+        x, yc, yd = toy_batch(n=20)
+        params, _ = train(x, yc, yd, cfg, TrainMode.MULTITASK)
+        ref = reference_train(x, yc, yd, cfg)
+        for a, b in zip(params.all_layers(), ref.all_layers()):
+            np.testing.assert_allclose(a.w, b.w, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(a.b, b.b, rtol=0, atol=1e-9)
+        params, _ = train(x, yc, yd, cfg, TrainMode.BASELINE)
+        ref = reference_train(x, yc, yd, effective_config(cfg, TrainMode.BASELINE))
+        for a, b in zip(params.all_layers(), ref.all_layers()):
+            assert np.array_equal(a.w, b.w)
+            assert np.array_equal(a.b, b.b)
 
 
 class TestTrain:

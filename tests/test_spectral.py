@@ -164,6 +164,13 @@ class TestBandTable:
         table = BandTable()
         assert BandTable.from_dict(table.to_dict()) == table
 
+    def test_from_dict_orders_by_lower_edge(self):
+        table = BandTable()
+        shuffled = dict(sorted(table.to_dict().items()))  # alpha, beta, delta, ...
+        assert BandTable.from_dict(shuffled) == table
+        with pytest.raises(ValueError):
+            BandTable.from_dict({"b": [4, 8], "a": [1, 5]})
+
 
 def make_trial(samples, trial_id=0):
     return TrialRecord(trial_id, 0, DomainLabel.CORRECT, samples)
