@@ -10,7 +10,6 @@ from .data import (
     TrialRecord,
     load_dataset,
     save_dataset,
-    stratified_split,
     stratified_split_indices,
 )
 from .evaluation import EvalReport, evaluate, macro_f1, predict
@@ -29,14 +28,12 @@ from .model import (
     mmd_rbf,
     train,
 )
-from .montage import Montage, Region, channel_position, default_montage
+from .montage import Montage, Region, default_montage
 from .spectral import (
     FeatureSet,
-    SpectralFeatures,
     WelchConfig,
     band_power,
     extract_feature_set,
-    extract_features,
     fft,
     ifft,
     welch_psd,
@@ -52,54 +49,3 @@ from .stats import (
 from .synth import SynthConfig, generate_dataset, generate_trial, pink_noise
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AcquisitionSpec",
-    "BandTable",
-    "Dataset",
-    "DomainLabel",
-    "EvalReport",
-    "FeatureScaler",
-    "FeatureSet",
-    "LossBreakdown",
-    "ModelConfig",
-    "ModelParams",
-    "Montage",
-    "Region",
-    "SpectralFeatures",
-    "SynthConfig",
-    "TTestMap",
-    "TTestResult",
-    "TrainMode",
-    "TrialRecord",
-    "WelchConfig",
-    "backward",
-    "band_power",
-    "band_topomaps",
-    "bh_fdr",
-    "channel_position",
-    "compute_loss",
-    "default_montage",
-    "evaluate",
-    "extract_feature_set",
-    "extract_features",
-    "fft",
-    "forward",
-    "generate_dataset",
-    "generate_trial",
-    "ifft",
-    "init_params",
-    "load_dataset",
-    "macro_f1",
-    "median_heuristic",
-    "mmd_rbf",
-    "pink_noise",
-    "predict",
-    "render_topomap_svg",
-    "save_dataset",
-    "stratified_split",
-    "stratified_split_indices",
-    "train",
-    "welch_psd",
-    "welch_t_test",
-]

@@ -9,18 +9,18 @@ exit 1 with the failing stage named.
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import load_dataset, save_dataset, stratified_split_indices
-from .errors import PipelineError, ShapeMismatch
-from .evaluation import EvalReport, evaluate
+from .codec import Schema, write_text
+from .data import SplitConfig, load_dataset, save_dataset, stratified_split_indices
+from .errors import PipelineError
+from .evaluation import evaluate
 from .model import (
     FeatureScaler,
     ModelConfig,
@@ -42,57 +42,82 @@ from .stats import band_topomaps, render_topomap_svg, topomap_csv
 from .synth import SynthConfig, generate_dataset
 
 
-def default_run_config() -> dict:
-    # ModelConfig's defaults; the data sets n_channels and bin_freqs_hz, and
-    # bands come from the top-level section
+@dataclass(frozen=True)
+class StatsConfig(Schema):
+    alpha: float = 0.05
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+
+
+@dataclass(frozen=True)
+class ReportConfig(Schema):
+    seeds: int = 5
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.seeds < 1:
+            raise ValueError(f"seeds must be at least 1, got {self.seeds}")
+
+
+def _model_defaults() -> dict:
+    # ModelConfig's defaults but the fields that the data and the bands section set
     model = {
         f.name: list(f.default) if isinstance(f.default, tuple) else f.default
         for f in fields(ModelConfig)
         if f.default is not MISSING
     }
-    return {
-        "out_dir": "runs",
-        "synth": SynthConfig().to_dict(),
-        "welch": WelchConfig().to_dict(),
-        "bands": BandTable().to_dict(),
-        "model": {**model, "seed": 11},
-        "split": {"test_fraction": 0.4, "seed": 77},
-        "stats": {"alpha": 0.05},
-        "report": {"seeds": 5},
-    }
+    return {**model, "seed": 11}
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if key not in base:
-            raise ValueError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and key != "bands":
-            if not isinstance(value, dict):
-                raise ValueError(f"config key {path + key!r} must be an object")
-            out[key] = _merge(base[key], value, path + key + ".")
-        else:
-            out[key] = value
-    return out
+@dataclass(frozen=True)
+class RunConfig(Schema):
+    """The run config: one section per stage. A file's section replaces only
+    the keys it names, except `bands`, which replaces the whole table."""
+
+    out_dir: str = "runs"
+    synth: SynthConfig = field(default_factory=SynthConfig)
+    welch: WelchConfig = field(default_factory=WelchConfig)
+    bands: BandTable = field(default_factory=BandTable)
+    model: dict = field(default_factory=_model_defaults)
+    split: SplitConfig = field(default_factory=SplitConfig)
+    stats: StatsConfig = field(default_factory=StatsConfig)
+    report: ReportConfig = field(default_factory=ReportConfig)
+
+    def __post_init__(self):
+        super().__post_init__()
+        defaults = _model_defaults()
+        for key in self.model:
+            if key not in defaults:
+                raise ValueError(f"model.{key} is not a known key")
+        object.__setattr__(self, "model", {**defaults, **self.model})
+        try:  # the data sets the real shape
+            _model_config(self.to_dict(), 1, [1.0])
+        except ValueError as exc:
+            raise ValueError(f"model.{exc}") from None
+
+
+def default_run_config() -> dict:
+    return RunConfig().to_dict()
 
 
 def load_run_config(path: str | None) -> dict:
-    cfg = default_run_config()
+    """The defaults with the file's values merged in, every value checked: an
+    unknown key or a bad value is a ValueError that names the dotted key."""
     if path is None:
-        return cfg
+        return default_run_config()
     p = Path(path)
     if not p.is_file():
         raise PipelineError(f"no config file at {p}")
     try:
         user = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise PipelineError(f"config file {p}: {exc}") from exc
     if not isinstance(user, dict):
         raise PipelineError(f"config file {p}: top level must be an object")
-    try:
-        return _merge(cfg, user)
-    except ValueError as exc:
-        raise PipelineError(f"config file {p}: {exc}") from exc
+    return RunConfig.from_dict(user).to_dict()
 
 
 def config_hash(cfg: dict) -> str:
@@ -101,24 +126,21 @@ def config_hash(cfg: dict) -> str:
 
 
 def _model_config(cfg: dict, n_channels: int, bin_freqs) -> ModelConfig:
-    return ModelConfig(
-        n_channels=n_channels,
-        bin_freqs_hz=tuple(float(f) for f in bin_freqs),
-        bands=BandTable.from_dict(cfg["bands"]),
-        **{
-            k: (tuple(v) if isinstance(v, list) else v)
-            for k, v in cfg["model"].items()
-        },
-    )
+    return ModelConfig.from_dict({
+        **cfg["model"],
+        "n_channels": n_channels,
+        "bin_freqs_hz": bin_freqs,
+        "bands": cfg["bands"],
+    })
 
 
 def _split(cfg: dict, features):
-    return stratified_split_indices(
-        features.class_labels,
-        features.domain_labels,
-        cfg["split"]["test_fraction"],
-        cfg["split"]["seed"],
+    """The config's (train, test) subsets of a feature set."""
+    split = SplitConfig.from_dict(cfg["split"])
+    indices = stratified_split_indices(
+        features.class_labels, features.domain_labels, split.test_fraction, split.seed
     )
+    return tuple(features.subset(i) for i in indices)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -136,7 +158,7 @@ def _cmd_synth(cfg: dict, args) -> int:
 def _cmd_features(cfg: dict, args) -> int:
     dataset = load_dataset(args.dataset)
     features = extract_feature_set(
-        dataset, WelchConfig(**cfg["welch"]), config_hash=config_hash(cfg)
+        dataset, WelchConfig.from_dict(cfg["welch"]), config_hash=config_hash(cfg)
     )
     out = Path(args.out or Path(cfg["out_dir"]) / "features.bin")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -151,11 +173,9 @@ def _cmd_features(cfg: dict, args) -> int:
 def _write_maps(maps, out_dir: Path, chash: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for tmap in maps:
-        (out_dir / f"stats_{tmap.band}.csv").write_text(
-            topomap_csv(tmap, config_hash=chash), encoding="utf-8"
-        )
+        write_text(out_dir / f"stats_{tmap.band}.csv", topomap_csv(tmap, config_hash=chash))
         svg = f"<!-- config_hash={chash} -->\n" + render_topomap_svg(tmap)
-        (out_dir / f"topomap_{tmap.band}.svg").write_text(svg, encoding="utf-8")
+        write_text(out_dir / f"topomap_{tmap.band}.svg", svg)
 
 
 def _band_maps(cfg: dict, features, alpha: float):
@@ -174,7 +194,7 @@ def _band_maps(cfg: dict, features, alpha: float):
 
 def _cmd_stats(cfg: dict, args) -> int:
     features = read_features(args.features)
-    alpha = args.alpha if args.alpha is not None else cfg["stats"]["alpha"]
+    alpha = StatsConfig(args.alpha).alpha if args.alpha is not None else cfg["stats"]["alpha"]
     maps = _band_maps(cfg, features, alpha)
     out_dir = Path(args.out or cfg["out_dir"])
     _write_maps(maps, out_dir, config_hash(cfg))
@@ -192,26 +212,31 @@ def _history_csv(history, chash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _train_on(cfg: dict, train_set, mode: TrainMode):
+    """(params, model config, scaler, history) of training on the train rows."""
+    model_cfg = _model_config(cfg, train_set.n_channels, train_set.bin_freqs_hz)
+    scaler = FeatureScaler.fit(train_set.flat())
+    x = scaler.transform(train_set.flat())
+    params, history = train(x, train_set.class_labels, train_set.domain_labels, model_cfg, mode)
+    return params, model_cfg, scaler, history
+
+
+def _evaluate_on(params, scaler, test_set):
+    x = scaler.transform(test_set.flat()) if scaler is not None else test_set.flat()
+    return evaluate(params, x, test_set.class_labels, test_set.domain_labels)
+
+
 def _cmd_train(cfg: dict, args) -> int:
     features = read_features(args.features)
     mode = TrainMode(args.mode)
-    train_idx, _ = _split(cfg, features)
-    subset = features.subset(train_idx)
-    model_cfg = _model_config(cfg, features.n_channels, features.bin_freqs_hz)
-    scaler = FeatureScaler.fit(subset.flat())
-    params, history = train(
-        scaler.transform(subset.flat()),
-        subset.class_labels,
-        subset.domain_labels,
-        model_cfg,
-        mode,
-    )
+    train_set, _ = _split(cfg, features)
+    params, model_cfg, scaler, history = _train_on(cfg, train_set, mode)
     chash = config_hash(cfg)
     out = Path(args.out or Path(cfg["out_dir"]) / f"model_{mode.value}.bin")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(params, model_cfg, out, mode=mode, config_hash=chash, scaler=scaler)
     history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
-    history_path.write_text(_history_csv(history, chash), encoding="utf-8")
+    write_text(history_path, _history_csv(history, chash))
     last = history[-1]
     print(
         f"wrote {out} (mode={mode.value}, {len(history)} epochs, "
@@ -222,21 +247,13 @@ def _cmd_train(cfg: dict, args) -> int:
 
 def _cmd_eval(cfg: dict, args) -> int:
     features = read_features(args.features)
-    params, model_cfg, mode, scaler = load_model(args.model)
-    feature_dim = features.n_channels * features.n_bins
-    if feature_dim != model_cfg.input_dim:
-        raise ShapeMismatch(
-            f"feature file provides {feature_dim} values per trial, model "
-            f"expects {model_cfg.input_dim}"
-        )
-    _, test_idx = _split(cfg, features)
-    subset = features.subset(test_idx)
-    x = scaler.transform(subset.flat()) if scaler is not None else subset.flat()
-    report = evaluate(params, x, subset.class_labels, subset.domain_labels)
+    params, _, mode, scaler = load_model(args.model)
+    _, test_set = _split(cfg, features)
+    report = _evaluate_on(params, scaler, test_set)
     payload = {"config_hash": config_hash(cfg), "mode": mode.value, **report.to_dict()}
     out = Path(args.out or Path(cfg["out_dir"]) / f"eval_{mode.value}.json")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_text(out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     print(
         f"{mode.value}: accuracy {report.accuracy:.1f}  f1_all {report.f1_all:.1f}  "
         f"f1_correct {report.f1_correct:.1f}  f1_misarticulated "
@@ -269,35 +286,20 @@ def run_report(cfg: dict, n_seeds: int, out_dir: Path) -> dict:
     """Full pipeline over n_seeds seeds; returns the report payload."""
     chash = config_hash(cfg)
     base_synth = SynthConfig.from_dict(cfg["synth"])
-    welch = WelchConfig(**cfg["welch"])
+    welch = WelchConfig.from_dict(cfg["welch"])
     per_seed = []
     for i in range(n_seeds):
-        synth_cfg = SynthConfig.from_dict({**base_synth.to_dict(), "seed": base_synth.seed + i})
+        synth_cfg = replace(base_synth, seed=base_synth.seed + i)
         dataset = generate_dataset(synth_cfg)
         features = extract_feature_set(dataset, welch, config_hash=chash)
         if i == 0:
             maps = _band_maps(cfg, features, cfg["stats"]["alpha"])
             _write_maps(maps, out_dir / "topomaps", chash)
-        train_idx, test_idx = _split(cfg, features)
-        train_set = features.subset(train_idx)
-        test_set = features.subset(test_idx)
-        model_cfg = _model_config(cfg, features.n_channels, features.bin_freqs_hz)
-        scaler = FeatureScaler.fit(train_set.flat())
-        x_train = scaler.transform(train_set.flat())
-        x_test = scaler.transform(test_set.flat())
+        train_set, test_set = _split(cfg, features)
         row: dict = {"seed": synth_cfg.seed}
         for mode in (TrainMode.BASELINE, TrainMode.MULTITASK):
-            params, _ = train(
-                x_train,
-                train_set.class_labels,
-                train_set.domain_labels,
-                model_cfg,
-                mode,
-            )
-            report = evaluate(
-                params, x_test, test_set.class_labels, test_set.domain_labels
-            )
-            row[mode.value] = report.to_dict()
+            params, _, scaler, _ = _train_on(cfg, train_set, mode)
+            row[mode.value] = _evaluate_on(params, scaler, test_set).to_dict()
         per_seed.append(row)
 
     mean_metrics = {
@@ -318,35 +320,27 @@ def run_report(cfg: dict, n_seeds: int, out_dir: Path) -> dict:
 def _report_csv(payload: dict) -> str:
     lines = [f"# config_hash={payload['config_hash']}"]
     lines.append("seed,mode,accuracy,f1_all,f1_correct,f1_misarticulated,n_test")
-    for row in payload["per_seed"]:
+    # per-seed rows, then the mean rows with an empty n_test
+    rows = [(row["seed"], row) for row in payload["per_seed"]] + [("mean", payload["mean"])]
+    for seed, metrics in rows:
         for mode in (TrainMode.BASELINE, TrainMode.MULTITASK):
-            m = row[mode.value]
+            m = metrics[mode.value]
             lines.append(
-                f"{row['seed']},{mode.value},{m['accuracy']:.4f},{m['f1_all']:.4f},"
-                f"{m['f1_correct']:.4f},{m['f1_misarticulated']:.4f},{m['n_test']}"
+                f"{seed},{mode.value},{m['accuracy']:.4f},{m['f1_all']:.4f},"
+                f"{m['f1_correct']:.4f},{m['f1_misarticulated']:.4f},{m.get('n_test', '')}"
             )
-    for mode in (TrainMode.BASELINE, TrainMode.MULTITASK):
-        m = payload["mean"][mode.value]
-        lines.append(
-            f"mean,{mode.value},{m['accuracy']:.4f},{m['f1_all']:.4f},"
-            f"{m['f1_correct']:.4f},{m['f1_misarticulated']:.4f},"
-        )
     return "\n".join(lines) + "\n"
 
 
 def _cmd_report(cfg: dict, args) -> int:
-    n_seeds = args.seeds if args.seeds is not None else cfg["report"]["seeds"]
-    if n_seeds < 1:
-        raise PipelineError(f"--seeds must be at least 1, got {n_seeds}")
+    n_seeds = ReportConfig(args.seeds if args.seeds is not None else cfg["report"]["seeds"]).seeds
     out_dir = Path(args.out or cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = run_report(cfg, n_seeds, out_dir)
-    (out_dir / "report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    (out_dir / "report.csv").write_text(_report_csv(payload), encoding="utf-8")
+    write_text(out_dir / "report.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_text(out_dir / "report.csv", _report_csv(payload))
     table = _comparison_table(payload["mean"], n_seeds, payload["config_hash"])
-    (out_dir / "comparison.txt").write_text(table, encoding="utf-8")
+    write_text(out_dir / "comparison.txt", table)
     print(table, end="")
     print(f"wrote report.json, report.csv, comparison.txt, topomaps/ to {out_dir}")
     return 0
@@ -359,25 +353,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eegintent",
         description="Synthetic-EEG speech-intention decoding pipeline.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="stage", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, command):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(command=command)
         p.add_argument("--config", help="JSON run-config file (defaults built in)")
         p.add_argument("--out", help="output directory or file")
         return p
 
-    p = add("synth", "generate a synthetic labeled dataset")
+    p = add("synth", "generate a synthetic labeled dataset", _cmd_synth)
     p.add_argument("--seed", type=int, help="override the generator seed")
 
-    p = add("features", "extract Welch log-PSD features from a dataset")
+    p = add("features", "extract Welch log-PSD features from a dataset", _cmd_features)
     p.add_argument("--dataset", required=True, help="dataset manifest JSON")
 
-    p = add("stats", "per-band t-maps with FDR correction (CSV + SVG)")
+    p = add("stats", "per-band t-maps with FDR correction (CSV + SVG)", _cmd_stats)
     p.add_argument("--features", required=True, help="feature file")
     p.add_argument("--alpha", type=float, help="significance level")
 
-    p = add("train", "train the decoder on the config's train split")
+    p = add("train", "train the decoder on the config's train split", _cmd_train)
     p.add_argument("--features", required=True, help="feature file")
     p.add_argument(
         "--mode",
@@ -387,42 +382,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the training seed")
     p.add_argument("--history", help="training-history CSV path")
 
-    p = add("eval", "evaluate a trained model on the config's test split")
+    p = add("eval", "evaluate a trained model on the config's test split", _cmd_eval)
     p.add_argument("--features", required=True, help="feature file")
     p.add_argument("--model", required=True, help="model file")
 
-    p = add("report", "full pipeline over N seeds, baseline vs multitask")
+    p = add("report", "full pipeline over N seeds, baseline vs multitask", _cmd_report)
     p.add_argument("--seeds", type=int, help="number of seeds")
     p.add_argument("--seed", type=int, help="override the base generator seed")
 
     return parser
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "features": _cmd_features,
-    "stats": _cmd_stats,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    stage = args.command
+    stage = args.stage
     try:
         cfg = load_run_config(args.config)
         if getattr(args, "seed", None) is not None:
-            if stage == "train":
-                cfg["model"]["seed"] = args.seed
-            else:
-                cfg["synth"]["seed"] = args.seed
-        return _COMMANDS[stage](cfg, args)
-    except PipelineError as exc:
-        print(f"error: {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+            section = "model" if stage == "train" else "synth"
+            cfg[section]["seed"] = args.seed
+        return args.command(cfg, args)
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

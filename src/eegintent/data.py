@@ -14,14 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CellTooSmall,
-    DimensionMismatch,
-    IoFailure,
-    MalformedManifest,
-    MissingFile,
-    NonFiniteSample,
+from .codec import (
+    Schema,
+    header_fields,
+    is_int,
+    read_header,
+    write_atomic,
+    write_text,
 )
+from .errors import CellTooSmall, DimensionMismatch, MissingFile, NonFiniteSample
 from .montage import default_montage
 
 N_CLASSES = 4
@@ -35,7 +36,7 @@ class DomainLabel(Enum):
 
 
 @dataclass(frozen=True)
-class AcquisitionSpec:
+class AcquisitionSpec(Schema):
     """Recording geometry: 64 channels at 500 Hz, 3 s trials, 1-50 Hz band."""
 
     sample_rate_hz: float = 500.0
@@ -45,6 +46,7 @@ class AcquisitionSpec:
     band_high_hz: float = 50.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.sample_rate_hz <= 0 or self.n_channels <= 0 or self.trial_seconds <= 0:
             raise ValueError("sample rate, channel count and trial length must be positive")
         if not self.band_low_hz < self.band_high_hz <= self.sample_rate_hz / 2:
@@ -56,19 +58,6 @@ class AcquisitionSpec:
     @property
     def n_samples(self) -> int:
         return round(self.sample_rate_hz * self.trial_seconds)
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_rate_hz": self.sample_rate_hz,
-            "n_channels": self.n_channels,
-            "trial_seconds": self.trial_seconds,
-            "band_low_hz": self.band_low_hz,
-            "band_high_hz": self.band_high_hz,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AcquisitionSpec":
-        return cls(**{k: d[k] for k in cls().to_dict()})
 
 
 @dataclass(frozen=True)
@@ -147,44 +136,53 @@ class Dataset:
         return Dataset(self.spec, self.channel_names, tuple(self.trials[i] for i in indices))
 
 
+def trial_entry(trial_id, class_label, misarticulated) -> dict:
+    """The labels of one trial as the manifest and the feature header store them."""
+    domain = DomainLabel.MISARTICULATED if misarticulated else DomainLabel.CORRECT
+    return {"trial_id": int(trial_id), "class_label": int(class_label),
+            "domain_label": domain.value}
+
+
+def parse_trial_entry(row) -> tuple[int, int, DomainLabel]:
+    """(trial_id, class_label, domain) of a trial_entry read back from a file;
+    ValueError, KeyError or TypeError when a field is missing or ill-typed."""
+    trial_id, class_label = row["trial_id"], row["class_label"]
+    if not is_int(trial_id) or trial_id < 0:
+        raise ValueError(f"trial_id must be a non-negative integer, got {trial_id!r}")
+    if not is_int(class_label) or class_label not in range(N_CLASSES):
+        raise ValueError(
+            f"trial {trial_id}: class_label must be in 0..{N_CLASSES - 1}, got {class_label!r}"
+        )
+    return trial_id, class_label, DomainLabel(row["domain_label"])
+
+
 def save_dataset(dataset: Dataset, path, config_hash: str | None = None) -> None:
-    """Write `path` (JSON manifest) plus a sibling .bin blob with all samples.
+    """Write `path` (JSON manifest) plus a sibling .bin blob with all samples,
+    each atomically, the blob first.
 
     Raises IoFailure if either file cannot be written.
     """
     manifest_path = Path(path)
     blob_path = manifest_path.with_suffix(".bin")
-    offsets = []
-    try:
-        with open(blob_path, "wb") as blob:
-            offset = 0
-            for t in dataset.trials:
-                raw = np.ascontiguousarray(t.samples, dtype="<f4").tobytes()
-                blob.write(raw)
-                offsets.append((offset, len(raw)))
-                offset += len(raw)
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "config_hash": config_hash,
-            "spec": dataset.spec.to_dict(),
-            "channel_names": list(dataset.channel_names),
-            "trials": [
-                {
-                    "trial_id": t.trial_id,
-                    "class_label": t.class_label,
-                    "domain_label": t.domain_label.value,
-                    "blob_file": blob_path.name,
-                    "byte_offset": off,
-                    "byte_length": length,
-                }
-                for t, (off, length) in zip(dataset.trials, offsets)
-            ],
-        }
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write dataset to {manifest_path}: {exc}") from exc
+    write_atomic(blob_path, (np.ascontiguousarray(t.samples, dtype="<f4") for t in dataset.trials))
+    nbytes = 4 * dataset.spec.n_channels * dataset.spec.n_samples
+    manifest = {
+        "format": MANIFEST_FORMAT,
+        "config_hash": config_hash,
+        "spec": dataset.spec.to_dict(),
+        "channel_names": list(dataset.channel_names),
+        "trials": [
+            {
+                **trial_entry(t.trial_id, t.class_label,
+                              t.domain_label is DomainLabel.MISARTICULATED),
+                "blob_file": blob_path.name,
+                "byte_offset": i * nbytes,
+                "byte_length": nbytes,
+            }
+            for i, t in enumerate(dataset.trials)
+        ],
+    }
+    write_text(manifest_path, json.dumps(manifest, indent=1) + "\n")
 
 
 def load_dataset(path) -> Dataset:
@@ -194,56 +192,41 @@ def load_dataset(path) -> Dataset:
     NonFiniteSample; the latter two name the offending trial_id.
     """
     manifest_path = Path(path)
-    if not manifest_path.is_file():
-        raise MissingFile(f"no manifest at {manifest_path}")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedManifest(f"{manifest_path}: {exc}") from exc
-
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise MalformedManifest(
-            f"{manifest_path}: expected format {MANIFEST_FORMAT!r}, "
-            f"got {manifest.get('format')!r}"
-        )
-    try:
-        spec = AcquisitionSpec.from_dict(manifest["spec"])
-        channel_names = tuple(manifest["channel_names"])
-        trial_rows = manifest["trials"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedManifest(f"{manifest_path}: {exc}") from exc
-
-    blobs: dict[str, bytes] = {}
+    manifest, _ = read_header(manifest_path, MANIFEST_FORMAT, "manifest", blob=False)
+    blobs: dict[str, memoryview] = {}
     trials = []
-    n_ch, n_sa = spec.n_channels, spec.n_samples
-    for row in trial_rows:
-        try:
-            trial_id = int(row["trial_id"])
-            class_label = int(row["class_label"])
-            domain = DomainLabel(row["domain_label"])
-            blob_file = row["blob_file"]
-            offset = int(row["byte_offset"])
-            length = int(row["byte_length"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedManifest(f"{manifest_path}: bad trial entry: {exc}") from exc
-        if blob_file not in blobs:
-            blob_path = manifest_path.parent / blob_file
-            if not blob_path.is_file():
-                raise MissingFile(f"no blob file at {blob_path}")
-            blobs[blob_file] = blob_path.read_bytes()
-        raw = blobs[blob_file][offset : offset + length]
-        if len(raw) != length or length != 4 * n_ch * n_sa:
-            raise DimensionMismatch(trial_id, (n_ch, n_sa), (length // 4,))
-        samples = np.frombuffer(raw, dtype="<f4").reshape(n_ch, n_sa)
-        if not np.isfinite(samples).all():
-            raise NonFiniteSample(trial_id)
-        trials.append(TrialRecord(trial_id, class_label, domain, samples))
+    with header_fields(manifest_path):
+        spec = AcquisitionSpec.from_dict(manifest["spec"])
+        shape = (spec.n_channels, spec.n_samples)
+        nbytes = 4 * spec.n_channels * spec.n_samples
+        for row in manifest["trials"]:
+            trial_id, class_label, domain = parse_trial_entry(row)
+            blob_file, offset, length = row["blob_file"], row["byte_offset"], row["byte_length"]
+            if blob_file not in blobs:
+                blob_path = manifest_path.parent / blob_file
+                if not blob_path.is_file():
+                    raise MissingFile(f"no blob file at {blob_path}")
+                blobs[blob_file] = memoryview(blob_path.read_bytes())
+            raw = blobs[blob_file][offset : offset + length]
+            if not is_int(offset) or offset < 0 or len(raw) != length or length != nbytes:
+                raise DimensionMismatch(trial_id, shape, (length // 4,))
+            # Dataset checks each trial's finiteness and names the trial
+            samples = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            trials.append(TrialRecord(trial_id, class_label, domain, samples))
+        return Dataset(spec, manifest["channel_names"], tuple(trials))
 
-    try:
-        return Dataset(spec, channel_names, tuple(trials))
-    except ValueError as exc:
-        raise MalformedManifest(f"{manifest_path}: {exc}") from exc
+
+@dataclass(frozen=True)
+class SplitConfig(Schema):
+    test_fraction: float = 0.4
+    seed: int = 77
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
 
 
 def stratified_split_indices(
@@ -258,8 +241,7 @@ def stratified_split_indices(
     trials, clamped to [1, cell_size - 1]. Returned index arrays are sorted
     and partition range(n).
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    SplitConfig(test_fraction, seed)  # checks both
     class_labels = np.asarray(class_labels)
     domain_labels = np.asarray(domain_labels)
     rng = np.random.default_rng(seed)
@@ -275,17 +257,6 @@ def stratified_split_indices(
         perm = rng.permutation(len(members))
         test_idx.append(members[perm[:n_test]])
     test = np.sort(np.concatenate(test_idx))
-    mask = np.zeros(len(class_labels), dtype=bool)
-    mask[test] = True
-    train = np.flatnonzero(~mask)
-    return train, test
-
-
-def stratified_split(
-    dataset: Dataset, test_fraction: float, seed: int
-) -> tuple[Dataset, Dataset]:
-    """Split a dataset into disjoint train/test parts, stratified per cell."""
-    train_idx, test_idx = stratified_split_indices(
-        dataset.class_labels(), dataset.domain_labels(), test_fraction, seed
-    )
-    return dataset.subset(train_idx), dataset.subset(test_idx)
+    in_train = np.ones(len(class_labels), dtype=bool)
+    in_train[test] = False
+    return np.flatnonzero(in_train), test

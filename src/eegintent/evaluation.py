@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Schema
 from .data import N_CLASSES
 from .errors import EmptyTestSet
 from .model import ModelParams, forward
@@ -48,7 +49,7 @@ def macro_f1(y_true, y_pred, n_classes: int = N_CLASSES) -> tuple[float, tuple[i
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Schema):
     """Table-1-style metrics: accuracy and macro-F1 overall and per domain."""
 
     accuracy: float
@@ -59,18 +60,6 @@ class EvalReport:
     n_test: int
     missing_classes_correct: tuple[int, ...] = ()
     missing_classes_misarticulated: tuple[int, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "f1_all": self.f1_all,
-            "f1_correct": self.f1_correct,
-            "f1_misarticulated": self.f1_misarticulated,
-            "confusion": self.confusion.tolist(),
-            "n_test": self.n_test,
-            "missing_classes_correct": list(self.missing_classes_correct),
-            "missing_classes_misarticulated": list(self.missing_classes_misarticulated),
-        }
 
 
 def evaluate(params: ModelParams, x, y_class, y_domain) -> EvalReport:

@@ -11,24 +11,19 @@ Total loss: l_class + lambda1 * l_domain + lambda2 * l_mmd.
 
 from __future__ import annotations
 
-import json
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateEmbeddings,
-    EmptyGroup,
-    IoFailure,
-    MalformedManifest,
-    MissingFile,
-    NonFiniteLoss,
-    ShapeMismatch,
+from .codec import (
+    Schema,
+    header_fields,
+    read_header,
+    unpack_floats,
+    write_header_file,
 )
+from .errors import DegenerateEmbeddings, EmptyGroup, NonFiniteLoss, ShapeMismatch
 from .spectral import BandTable
 
 MODEL_FORMAT = "eegintent-model-v1"
@@ -42,7 +37,7 @@ class TrainMode(Enum):
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Schema):
     """Architecture and training hyperparameters.
 
     mmd_bandwidth None means the per-batch median heuristic; a float fixes
@@ -66,70 +61,36 @@ class ModelConfig:
     bands: BandTable = field(default_factory=BandTable)
 
     def __post_init__(self):
-        object.__setattr__(self, "bin_freqs_hz", tuple(float(f) for f in self.bin_freqs_hz))
-        object.__setattr__(self, "encoder_dims", tuple(self.encoder_dims))
-        object.__setattr__(self, "class_head_dims", tuple(self.class_head_dims))
-        object.__setattr__(self, "domain_head_dims", tuple(self.domain_head_dims))
-        # bool is an Integral; JSON true must not pass as 1
-        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
-                raise ValueError(f"{name} must be an integer >= {minimum}, got {v!r}")
-        for name in ("gamma_sup", "lambda1", "lambda2", "mmd_bandwidth",
-                     "learning_rate", "weight_init_scale"):
-            v = getattr(self, name)
-            if v is None and name == "mmd_bandwidth":
-                continue  # the per-batch median heuristic
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if self.n_channels < 1 or not self.bin_freqs_hz:
-            raise ValueError("need at least one channel and one frequency bin")
-        if not self.encoder_dims:
-            raise ValueError("encoder needs at least one layer")
+        super().__post_init__()
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("n_channels", 1)):
+            if (value := getattr(self, name)) < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+        if not self.bin_freqs_hz:
+            raise ValueError("bin_freqs_hz needs at least one frequency bin")
+        for name in ("encoder_dims", "class_head_dims", "domain_head_dims"):
+            dims = getattr(self, name)
+            if not dims or min(dims) < 1:
+                raise ValueError(f"{name} must be one or more layer widths >= 1, got {dims}")
         if self.class_head_dims[-1] != 4:
-            raise ValueError("class head must end with 4 outputs")
+            raise ValueError("class_head_dims must end with 4 outputs")
         if self.domain_head_dims[-1] != 2:
-            raise ValueError("domain head must end with 2 outputs")
+            raise ValueError("domain_head_dims must end with 2 outputs")
         if not 0.0 <= self.gamma_sup <= 1.0:
             raise ValueError("gamma_sup must be in [0, 1]")
         if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be non-negative")
+            raise ValueError("lambda1 and lambda2 must be non-negative")
         if self.mmd_bandwidth is not None and self.mmd_bandwidth <= 0:
-            raise ValueError("fixed mmd_bandwidth must be positive")
+            raise ValueError("mmd_bandwidth must be positive when fixed")
+        if not set(SUPPRESSED_BANDS) <= set(self.bands.names):
+            raise ValueError(f"bands must include {', '.join(SUPPRESSED_BANDS)}")
 
     @property
     def input_dim(self) -> int:
         return self.n_channels * len(self.bin_freqs_hz)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_channels": self.n_channels,
-            "bin_freqs_hz": list(self.bin_freqs_hz),
-            "encoder_dims": list(self.encoder_dims),
-            "class_head_dims": list(self.class_head_dims),
-            "domain_head_dims": list(self.domain_head_dims),
-            "gamma_sup": self.gamma_sup,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "mmd_bandwidth": self.mmd_bandwidth,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "weight_init_scale": self.weight_init_scale,
-            "seed": self.seed,
-            "bands": self.bands.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        kwargs = dict(d)
-        if "bands" in kwargs:
-            kwargs["bands"] = BandTable.from_dict(kwargs["bands"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class FeatureScaler:
+class FeatureScaler(Schema):
     """Per-bin standardization fitted on the training split.
 
     Log-PSD features share a large constant offset across trials; plain
@@ -140,21 +101,25 @@ class FeatureScaler:
     mean: np.ndarray
     std: np.ndarray
 
+    def __post_init__(self):
+        super().__post_init__()
+        mean, std = self.mean, self.std
+        if mean.ndim != 1 or mean.shape != std.shape or not (
+            np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()
+        ):
+            raise ValueError("feature_scaling needs finite mean and std vectors "
+                             "of one length, with std > 0")
+
     @classmethod
     def fit(cls, x) -> "FeatureScaler":
         x = np.asarray(x, dtype=np.float64)
         return cls(x.mean(axis=0), np.maximum(x.std(axis=0), 1e-6))
 
     def transform(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureScaler":
-        return cls(np.asarray(d["mean"], dtype=np.float64),
-                   np.asarray(d["std"], dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1:] != self.mean.shape:
+            raise ShapeMismatch(f"features of shape {x.shape} for a scaler of dim {len(self.mean)}")
+        return (x - self.mean) / self.std
 
 
 def band_mask_bins(bin_freqs, bands: BandTable, gamma_sup: float) -> np.ndarray:
@@ -194,6 +159,16 @@ class ModelParams:
         return [*self.encoder, *self.class_head, *self.domain_head]
 
 
+def _stack_dims(config: ModelConfig):
+    """Layer widths of the encoder, the class head and the domain head."""
+    emb = config.encoder_dims[-1]
+    return (
+        (config.input_dim, *config.encoder_dims),
+        (emb, *config.class_head_dims),
+        (emb, *config.domain_head_dims),
+    )
+
+
 def _init_stack(rng, dims, scale) -> list[Layer]:
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -205,15 +180,8 @@ def _init_stack(rng, dims, scale) -> list[Layer]:
 def init_params(config: ModelConfig) -> ModelParams:
     """Fan-in-scaled Gaussian weights, zero biases, deterministic in seed."""
     rng = np.random.default_rng(config.seed)
-    enc_dims = (config.input_dim, *config.encoder_dims)
-    emb = config.encoder_dims[-1]
-    scale = config.weight_init_scale
-    return ModelParams(
-        _init_stack(rng, enc_dims, scale),
-        _init_stack(rng, (emb, *config.class_head_dims), scale),
-        _init_stack(rng, (emb, *config.domain_head_dims), scale),
-        input_mask(config),
-    )
+    stacks = [_init_stack(rng, dims, config.weight_init_scale) for dims in _stack_dims(config)]
+    return ModelParams(*stacks, input_mask(config))
 
 
 # --- forward / loss ------------------------------------------------------
@@ -301,13 +269,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(-logp[np.arange(len(labels)), np.asarray(labels)].mean())
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of a and of b, clipped at 0."""
+    sq = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(sq, 0.0)
+
+
 def _rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    sq = (
-        (a**2).sum(axis=1)[:, None]
-        + (b**2).sum(axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma**2))
+    return np.exp(-_sq_dists(a, b) / (2.0 * sigma**2))
 
 
 def mmd_rbf(x, y, bandwidth: float) -> float:
@@ -318,9 +287,16 @@ def mmd_rbf(x, y, bandwidth: float) -> float:
         raise EmptyGroup("MMD needs at least one vector per group")
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    kxx = _rbf_kernel(x, x, bandwidth)
-    kyy = _rbf_kernel(y, y, bandwidth)
-    kxy = _rbf_kernel(x, y, bandwidth)
+    return _mmd_from_kernels(_rbf_kernels(x, y, bandwidth))
+
+
+def _rbf_kernels(x, y, sigma):
+    """(kxx, kyy, kxy), shared by the MMD value and its gradients."""
+    return _rbf_kernel(x, x, sigma), _rbf_kernel(y, y, sigma), _rbf_kernel(x, y, sigma)
+
+
+def _mmd_from_kernels(kernels) -> float:
+    kxx, kyy, kxy = kernels
     return float(kxx.mean() + kyy.mean() - 2.0 * kxy.mean())
 
 
@@ -330,9 +306,7 @@ def median_heuristic(embeddings) -> float:
     n = len(e)
     if n < 2:
         raise DegenerateEmbeddings(f"need at least 2 embeddings, got {n}")
-    sq = (e**2).sum(axis=1)[:, None] + (e**2).sum(axis=1)[None, :] - 2.0 * (e @ e.T)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.maximum(sq[iu], 0.0)))
+    med = float(np.median(_sq_dists(e, e)[np.triu_indices(n, k=1)]))
     if med <= 0.0:
         raise DegenerateEmbeddings("median pairwise distance is zero")
     return float(np.sqrt(med / 2.0))
@@ -347,11 +321,9 @@ class LossBreakdown:
     single_domain: bool = False
 
 
-def _mmd_embedding_grads(x, y, sigma):
+def _mmd_embedding_grads(x, y, sigma, kernels):
     n, m = len(x), len(y)
-    kxx = _rbf_kernel(x, x, sigma)
-    kyy = _rbf_kernel(y, y, sigma)
-    kxy = _rbf_kernel(x, y, sigma)
+    kxx, kyy, kxy = kernels
     inv = 1.0 / sigma**2
     dx = (2.0 * inv / n**2) * (kxx @ x - kxx.sum(axis=1)[:, None] * x) - (
         2.0 * inv / (n * m)
@@ -375,8 +347,6 @@ def _mmd_sigma(config: ModelConfig, embeddings: np.ndarray) -> float | None:
 
 def _loss_and_grads(params, x, y_class, y_domain, config, want_grads: bool):
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"expected a [batch x features] matrix, got {x.shape}")
     _check_features(params, x)
     y_class = np.asarray(y_class, dtype=np.int64)
     y_domain = np.asarray(y_domain, dtype=np.int64)
@@ -391,14 +361,13 @@ def _loss_and_grads(params, x, y_class, y_domain, config, want_grads: bool):
     idx_correct = np.flatnonzero(y_domain == 0)
     idx_mis = np.flatnonzero(y_domain == 1)
     single_domain = len(idx_correct) == 0 or len(idx_mis) == 0
-    sigma = None
+    sigma = kernels = None
     if not single_domain:
         sigma = _mmd_sigma(config, emb_domain)
-    l_mmd = (
-        mmd_rbf(emb_domain[idx_correct], emb_domain[idx_mis], sigma)
-        if sigma is not None
-        else 0.0
-    )
+    if sigma is not None:
+        emb_correct, emb_mis = emb_domain[idx_correct], emb_domain[idx_mis]
+        kernels = _rbf_kernels(emb_correct, emb_mis, sigma)
+    l_mmd = _mmd_from_kernels(kernels) if kernels is not None else 0.0
     loss = LossBreakdown(
         l_class,
         l_domain,
@@ -420,10 +389,8 @@ def _loss_and_grads(params, x, y_class, y_domain, config, want_grads: bool):
     dom_head_grads, d_emb_domain = _head_backward(
         params.domain_head, dom_cache, config.lambda1 * probs_d / n
     )
-    if config.lambda2 != 0.0 and sigma is not None and not single_domain:
-        dx, dy = _mmd_embedding_grads(
-            emb_domain[idx_correct], emb_domain[idx_mis], sigma
-        )
+    if config.lambda2 != 0.0 and kernels is not None:
+        dx, dy = _mmd_embedding_grads(emb_correct, emb_mis, sigma, kernels)
         d_emb_domain[idx_correct] += config.lambda2 * dx
         d_emb_domain[idx_mis] += config.lambda2 * dy
 
@@ -486,7 +453,6 @@ def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         sums = np.zeros(3)
-        count = 0
         any_single = False
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
@@ -500,9 +466,8 @@ def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
                 layer.w -= np.multiply(grad.w, lr, out=grad.w)  # no temporary
                 layer.b -= np.multiply(grad.b, lr, out=grad.b)
             sums += np.array([loss.l_class, loss.l_domain, loss.l_mmd]) * len(batch)
-            count += len(batch)
             any_single = any_single or loss.single_domain
-        l_class, l_domain, l_mmd = sums / count
+        l_class, l_domain, l_mmd = sums / n  # the batches cover every row once
         history.append(
             LossBreakdown(
                 float(l_class),
@@ -525,81 +490,41 @@ def save_model(
     scaler: FeatureScaler | None = None,
 ) -> None:
     """One JSON header line (config + shapes + scaler), then float32 weights."""
-    chunks = []
-    shapes = []
-    for layer in params.all_layers():
-        shapes.append([list(layer.w.shape), list(layer.b.shape)])
-        chunks.append(np.ascontiguousarray(layer.w, dtype="<f4").tobytes())
-        chunks.append(np.ascontiguousarray(layer.b, dtype="<f4").tobytes())
+    layers = params.all_layers()
     header = {
         "format": MODEL_FORMAT,
         "config_hash": config_hash,
         "mode": mode.value,
         "config": config.to_dict(),
         "feature_scaling": scaler.to_dict() if scaler is not None else None,
-        "layer_shapes": shapes,
+        "layer_shapes": [[list(layer.w.shape), list(layer.b.shape)] for layer in layers],
     }
-    try:
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
-            fh.write(b"\n")
-            for chunk in chunks:
-                fh.write(chunk)
-    except OSError as exc:
-        raise IoFailure(f"cannot write model to {path}: {exc}") from exc
+    write_header_file(path, header, [a for layer in layers for a in (layer.w, layer.b)])
 
 
 def load_model(path) -> tuple[ModelParams, ModelConfig, TrainMode, FeatureScaler | None]:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"no model file at {path}")
-    raw = path.read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise MalformedManifest(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedManifest(f"{path}: {exc}") from exc
-    if header.get("format") != MODEL_FORMAT:
-        raise MalformedManifest(
-            f"{path}: expected format {MODEL_FORMAT!r}, got {header.get('format')!r}"
-        )
-    try:
+    """Read a file written by save_model; MalformedManifest unless the layer
+    shapes match the config's dims, the scaler its input dim, and all is finite."""
+    header, blob = read_header(path, MODEL_FORMAT, "model file")
+    with header_fields(path):
         config = ModelConfig.from_dict(header["config"])
         mode = TrainMode(header["mode"])
-        shapes = header["layer_shapes"]
         scaling = header.get("feature_scaling")
         scaler = FeatureScaler.from_dict(scaling) if scaling is not None else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedManifest(f"{path}: {exc}") from exc
-
-    blob = raw[newline + 1 :]
-    arrays = []
-    offset = 0
-    for w_shape, b_shape in shapes:
-        for shape in (w_shape, b_shape):
-            size = int(np.prod(shape)) if shape else 1
-            nbytes = 4 * size
-            if offset + nbytes > len(blob):
-                raise MalformedManifest(f"{path}: weight blob truncated")
-            arrays.append(
-                np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-                .astype(np.float64)
-                .reshape(shape)
-            )
-            offset += nbytes
-    if offset != len(blob):
-        raise MalformedManifest(f"{path}: {len(blob) - offset} trailing bytes in blob")
-
-    cfg = effective_config(config, mode)
-    layers = [Layer(arrays[i], arrays[i + 1]) for i in range(0, len(arrays), 2)]
-    n_enc = len(cfg.encoder_dims)
-    n_cls = len(cfg.class_head_dims)
+        if scaler is not None and len(scaler.mean) != config.input_dim:
+            raise ValueError(f"feature_scaling has {len(scaler.mean)} entries for "
+                             f"input dim {config.input_dim}")
+        stacks = _stack_dims(config)
+        shapes = [[[a, b], [b]] for dims in stacks for a, b in zip(dims[:-1], dims[1:])]
+        if header["layer_shapes"] != shapes:
+            raise ValueError(f"layer_shapes {header['layer_shapes']} do not match "
+                             f"the config's dims {shapes}")
+        arrays = unpack_floats(blob, [s for pair in shapes for s in pair])
+        mask = input_mask(effective_config(config, mode))
+    layers = [Layer(w.astype(np.float64), b.astype(np.float64))
+              for w, b in zip(arrays[::2], arrays[1::2])]
+    n_enc, n_cls = len(stacks[0]) - 1, len(stacks[1]) - 1
     params = ModelParams(
-        layers[:n_enc],
-        layers[n_enc : n_enc + n_cls],
-        layers[n_enc + n_cls :],
-        input_mask(cfg),
+        layers[:n_enc], layers[n_enc : n_enc + n_cls], layers[n_enc + n_cls :], mask
     )
     return params, config, mode, scaler

@@ -133,13 +133,4 @@ def default_montage() -> Montage:
     return _DEFAULT
 
 
-def channel_position(montage: Montage, name: str) -> tuple[float, float, Region]:
-    """Look up a channel's projected coordinates and region tag.
-
-    Raises UnknownChannel if the name is absent.
-    """
-    e = montage.entry(name)
-    return e.x, e.y, e.region
-
-
 _DEFAULT = Montage(tuple(ChannelEntry(*row) for row in _CHANNEL_TABLE))

@@ -7,26 +7,28 @@ density scaling in microvolt^2 per Hz.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .data import AcquisitionSpec, Dataset, DomainLabel, TrialRecord
-from .errors import (
-    EmptyBand,
-    IoFailure,
-    MalformedManifest,
-    MissingFile,
-    NonPowerOfTwoLength,
-    SignalTooShort,
+from .codec import (
+    Schema,
+    check_value,
+    header_fields,
+    read_header,
+    unpack_floats,
+    write_header_file,
 )
+from .data import Dataset, DomainLabel, parse_trial_entry, trial_entry
+from .errors import EmptyBand, NonPowerOfTwoLength, SignalTooShort
 
 PSD_FLOOR = 1e-12  # microvolt^2/Hz, applied before log10
 
 FEATURES_FORMAT = "eegintent-features-v1"
+
+# trials per batch of the feature extractor; sets memory use, not results
+_CHUNK_TRIALS = 8
 
 
 # --- FFT -----------------------------------------------------------------
@@ -86,13 +88,14 @@ def ifft(x) -> np.ndarray:
 # --- Welch PSD -----------------------------------------------------------
 
 @dataclass(frozen=True)
-class WelchConfig:
+class WelchConfig(Schema):
     """Welch estimator parameters: 512-sample periodic Hann segments, 50% overlap."""
 
     segment_length: int = 512
     overlap: int = 256
 
     def __post_init__(self):
+        super().__post_init__()
         if self.segment_length < 2 or self.segment_length & (self.segment_length - 1):
             raise ValueError(
                 f"segment_length must be a power of two, got {self.segment_length}"
@@ -101,9 +104,6 @@ class WelchConfig:
             raise ValueError(
                 f"overlap must be in [0, {self.segment_length}), got {self.overlap}"
             )
-
-    def to_dict(self) -> dict:
-        return {"segment_length": self.segment_length, "overlap": self.overlap}
 
 
 def _hann(n: int) -> np.ndarray:
@@ -211,9 +211,9 @@ class BandTable:
         prev_high = None
         for b in self.bands:
             if not (1.0 <= b.low_hz < b.high_hz <= 50.0):
-                raise ValueError(f"band {b.name}: [{b.low_hz}, {b.high_hz}) not inside [1, 50]")
+                raise ValueError(f"{b.name}: [{b.low_hz}, {b.high_hz}) is not inside [1, 50] Hz")
             if prev_high is not None and b.low_hz < prev_high:
-                raise ValueError(f"band {b.name} overlaps or reorders the previous band")
+                raise ValueError(f"{b.name} overlaps or reorders the previous band")
             prev_high = b.high_hz
 
     @property
@@ -227,10 +227,7 @@ class BandTable:
         return len(self.bands)
 
     def get(self, name: str) -> Band:
-        for b in self.bands:
-            if b.name == name:
-                return b
-        raise KeyError(name)
+        return {b.name: b for b in self.bands}[name]
 
     def to_dict(self) -> dict:
         return {b.name: [b.low_hz, b.high_hz] for b in self.bands}
@@ -239,39 +236,16 @@ class BandTable:
     def from_dict(cls, d: dict) -> "BandTable":
         """Bands in any key order (a config file may have sorted keys),
         ordered by lower edge; overlaps are still rejected."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected an object of bands, got {d!r}")
+        for name, edges in d.items():
+            if len(check_value(edges, tuple[float, ...], name)) != 2:
+                raise ValueError(f"{name} must be [low_hz, high_hz], got {edges!r}")
         bands = [Band(name, lo, hi) for name, (lo, hi) in d.items()]
         return cls(tuple(sorted(bands, key=lambda b: b.low_hz)))
 
 
 # --- per-trial features --------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectralFeatures:
-    """Per-trial [channels x bins] log10 PSD over the in-band FFT bins."""
-
-    trial_id: int
-    values: np.ndarray
-    bin_freqs_hz: np.ndarray
-
-
-def in_band_bins(bin_freqs, low_hz: float, high_hz: float) -> np.ndarray:
-    """Indices of bins whose center frequency lies in [low, high] inclusive."""
-    bin_freqs = np.asarray(bin_freqs)
-    return np.flatnonzero((bin_freqs >= low_hz) & (bin_freqs <= high_hz))
-
-
-def _log_features(psd_block: np.ndarray) -> np.ndarray:
-    return np.log10(np.maximum(psd_block, PSD_FLOOR))
-
-
-def extract_features(
-    trial: TrialRecord, config: WelchConfig, spec: AcquisitionSpec
-) -> SpectralFeatures:
-    """Per-channel Welch log10 PSD restricted to the acquisition band."""
-    psd, bin_freqs = _welch_psd_batch(trial.samples, config, spec.sample_rate_hz)
-    keep = in_band_bins(bin_freqs, spec.band_low_hz, spec.band_high_hz)
-    return SpectralFeatures(trial.trial_id, _log_features(psd[:, keep]), bin_freqs[keep])
-
 
 @dataclass(frozen=True)
 class FeatureSet:
@@ -303,29 +277,21 @@ class FeatureSet:
         return self.values.reshape(self.n_trials, -1)
 
     def subset(self, indices) -> "FeatureSet":
-        indices = np.asarray(indices)
-        return FeatureSet(
-            self.values[indices],
-            self.bin_freqs_hz,
-            self.sample_rate_hz,
-            self.channel_names,
-            self.trial_ids[indices],
-            self.class_labels[indices],
-            self.domain_labels[indices],
-            self.config_hash,
-        )
+        i = np.asarray(indices)
+        return replace(self, values=self.values[i], trial_ids=self.trial_ids[i],
+                       class_labels=self.class_labels[i], domain_labels=self.domain_labels[i])
 
 
 def extract_feature_set(
     dataset: Dataset,
     config: WelchConfig,
     config_hash: str | None = None,
-    chunk_trials: int = 8,
 ) -> FeatureSet:
-    """extract_features over every trial of a dataset, stacked.
+    """Per-channel Welch log10 PSD over the acquisition band, every trial
+    stacked.
 
     Trials are processed in chunks of flattened channel signals purely for
-    speed; the per-element arithmetic matches extract_features exactly.
+    speed; each trial's values do not depend on the chunk around it.
     """
     spec = dataset.spec
     n_trials = len(dataset.trials)
@@ -333,18 +299,18 @@ def extract_feature_set(
         raise ValueError("dataset has no trials")
     values = None
     keep = None
-    for start in range(0, n_trials, chunk_trials):
-        block = dataset.trials[start : start + chunk_trials]
+    for start in range(0, n_trials, _CHUNK_TRIALS):
+        block = dataset.trials[start : start + _CHUNK_TRIALS]
         stacked = np.stack([t.samples for t in block]).astype(np.float64)
         flat = stacked.reshape(-1, spec.n_samples)
         psd, bin_freqs = _welch_psd_batch(flat, config, spec.sample_rate_hz)
-        if keep is None:
-            keep = in_band_bins(bin_freqs, spec.band_low_hz, spec.band_high_hz)
+        if keep is None:  # bins with centers in [band_low, band_high], inclusive
+            low, high = spec.band_low_hz, spec.band_high_hz
+            keep = np.flatnonzero((bin_freqs >= low) & (bin_freqs <= high))
             kept_freqs = bin_freqs[keep]
             values = np.empty((n_trials, spec.n_channels, len(keep)))
-        values[start : start + len(block)] = _log_features(
-            psd[:, keep].reshape(len(block), spec.n_channels, -1)
-        )
+        block_psd = psd[:, keep].reshape(len(block), spec.n_channels, -1)
+        values[start : start + len(block)] = np.log10(np.maximum(block_psd, PSD_FLOOR))
     return FeatureSet(
         values,
         kept_freqs,
@@ -390,81 +356,39 @@ def write_features(features: FeatureSet, path) -> None:
         "bin_freqs_hz": [float(f) for f in features.bin_freqs_hz],
         "channel_names": list(features.channel_names),
         "trials": [
-            {
-                "trial_id": int(t),
-                "class_label": int(c),
-                "domain_label": DomainLabel.MISARTICULATED.value
-                if d
-                else DomainLabel.CORRECT.value,
-            }
+            trial_entry(t, c, d)
             for t, c, d in zip(
                 features.trial_ids, features.class_labels, features.domain_labels
             )
         ],
     }
-    try:
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(np.ascontiguousarray(features.values, dtype="<f4").tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write features to {path}: {exc}") from exc
+    write_header_file(path, header, [features.values])
 
 
 def read_features(path) -> FeatureSet:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"no feature file at {path}")
-    raw = path.read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise MalformedManifest(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedManifest(f"{path}: {exc}") from exc
-    if header.get("format") != FEATURES_FORMAT:
-        raise MalformedManifest(
-            f"{path}: expected format {FEATURES_FORMAT!r}, got {header.get('format')!r}"
-        )
-    try:
+    """Read a file written by write_features; MissingFile or MalformedManifest
+    (naming the file) when it is absent, truncated, inconsistent or not finite."""
+    header, blob = read_header(path, FEATURES_FORMAT, "feature file")
+    with header_fields(path):
         shape = (header["n_trials"], header["n_channels"], header["n_bins"])
-        bin_freqs = np.asarray(header["bin_freqs_hz"], dtype=np.float64)
-        channel_names = tuple(header["channel_names"])
-        trials = header["trials"]
+        (values,) = unpack_floats(blob, [shape])
+        bin_freqs = np.array(header["bin_freqs_hz"], dtype=np.float64)
+        channel_names = header["channel_names"]
+        if bin_freqs.shape != shape[2:] or not np.isfinite(bin_freqs).all():
+            raise ValueError(f"bin_freqs_hz must be {shape[2]} finite frequencies")
+        if not isinstance(channel_names, list) or len(channel_names) != shape[1]:
+            raise ValueError(f"channel_names must list {shape[1]} channels")
+        trials = [parse_trial_entry(row) for row in header["trials"]]
+        if len(trials) != shape[0]:
+            raise ValueError(f"{len(trials)} trial entries for {shape[0]} trials")
         sample_rate = float(header["sample_rate_hz"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedManifest(f"{path}: {exc}") from exc
-    blob = raw[newline + 1 :]
-    expected = 4 * shape[0] * shape[1] * shape[2]
-    if len(blob) != expected:
-        raise MalformedManifest(
-            f"{path}: blob holds {len(blob)} bytes, header implies {expected}"
-        )
-    values = np.frombuffer(blob, dtype="<f4").reshape(shape).astype(np.float64)
-    try:
-        trial_ids = np.array([int(t["trial_id"]) for t in trials], dtype=np.int64)
-        class_labels = np.array([int(t["class_label"]) for t in trials], dtype=np.int64)
-        domain_labels = np.array(
-            [
-                int(DomainLabel(t["domain_label"]) is DomainLabel.MISARTICULATED)
-                for t in trials
-            ],
-            dtype=np.int64,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedManifest(f"{path}: bad trial entry: {exc}") from exc
-    if len(trial_ids) != shape[0]:
-        raise MalformedManifest(
-            f"{path}: {len(trial_ids)} trial entries for {shape[0]} trials"
-        )
     return FeatureSet(
-        values,
+        values.astype(np.float64),
         bin_freqs,
         sample_rate,
-        channel_names,
-        trial_ids,
-        class_labels,
-        domain_labels,
+        tuple(channel_names),
+        np.array([t[0] for t in trials], dtype=np.int64),
+        np.array([t[1] for t in trials], dtype=np.int64),
+        np.array([int(t[2] is DomainLabel.MISARTICULATED) for t in trials], dtype=np.int64),
         header.get("config_hash"),
     )

@@ -34,25 +34,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_TINY:
-            d = _BETACF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_TINY:
-            c = _BETACF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_TINY:
-            d = _BETACF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_TINY:
-            c = _BETACF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and the odd step of the fraction
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _BETACF_TINY:
+                d = _BETACF_TINY
+            c = 1.0 + aa / c
+            if abs(c) < _BETACF_TINY:
+                c = _BETACF_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:
             break
     return h
@@ -189,13 +182,11 @@ def band_topomaps(
     log_c = np.log10(np.maximum(bp_c, PSD_FLOOR))
     log_m = np.log10(np.maximum(bp_m, PSD_FLOOR))
     t_vals = np.empty((n_bands, n_channels))
-    df_vals = np.empty((n_bands, n_channels))
     p_vals = np.empty((n_bands, n_channels))
     for bi in range(n_bands):
         for ci in range(n_channels):
             res = welch_t_test(log_m[:, ci, bi], log_c[:, ci, bi])
             t_vals[bi, ci] = res.t
-            df_vals[bi, ci] = res.df
             p_vals[bi, ci] = res.p_two_sided
     adjusted, reject = bh_fdr(p_vals.ravel(), alpha)
     adjusted = adjusted.reshape(n_bands, n_channels)
@@ -239,16 +230,15 @@ def _diverging_color(t: float, limit: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def render_topomap_svg(tmap: TTestMap, scale_limit: float | None = None) -> str:
+def render_topomap_svg(tmap: TTestMap) -> str:
     """Deterministic SVG text for one band map.
 
-    One filled circle per channel on a symmetric diverging scale over t, a
-    '+' glyph on FDR-significant channels, and a head outline. Equal maps
-    render to byte-identical text.
+    One filled circle per channel on a symmetric diverging scale over t
+    (limit: the map's largest |t|), a '+' glyph on FDR-significant channels,
+    and a head outline. Equal maps render to byte-identical text.
     """
-    if scale_limit is None:
-        peak = float(np.max(np.abs(tmap.t))) if len(tmap.t) else 0.0
-        scale_limit = peak if peak > 0 else 1.0
+    peak = float(np.max(np.abs(tmap.t))) if len(tmap.t) else 0.0
+    scale_limit = peak if peak > 0 else 1.0
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="420" height="440" '
         'viewBox="-1.3 -1.5 2.6 2.9" font-family="sans-serif">',

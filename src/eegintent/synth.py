@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
+from .codec import Schema
 from .data import AcquisitionSpec, Dataset, DomainLabel, TrialRecord
 from .montage import Montage, Region, default_montage
 from .spectral import BandTable
@@ -48,7 +48,7 @@ EFFECT_DIRECTIONS = {
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Schema):
     """Generator parameters; amplitudes are microvolts per sinusoid."""
 
     n_trials_per_class: int = 50
@@ -69,6 +69,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_trials_per_class < 1:
             raise ValueError("n_trials_per_class must be positive")
         if not 0.0 < self.misarticulation_rate < 1.0:
@@ -76,18 +77,13 @@ class SynthConfig:
         if self.pink_noise_scale <= 0:
             raise ValueError("pink_noise_scale must be positive")
         if len(self.class_signature_freqs_hz) != 4:
-            raise ValueError("need one signature frequency list per class (4)")
+            raise ValueError("class_signature_freqs_hz needs one frequency list per class (4)")
         if self.delta_gain_mis < 1 or self.alpha_gain_mis < 1:
-            raise ValueError("delta/alpha misarticulation gains must be >= 1")
+            raise ValueError("delta_gain_mis and alpha_gain_mis must be >= 1")
         if not 0.0 < self.gamma_gain_mis <= 1.0:
             raise ValueError("gamma_gain_mis must be in (0, 1]")
         if not 0.0 <= self.amp_jitter < 1.0:
             raise ValueError("amp_jitter must be in [0, 1)")
-        object.__setattr__(
-            self,
-            "class_signature_freqs_hz",
-            tuple(tuple(float(f) for f in row) for row in self.class_signature_freqs_hz),
-        )
 
     def validate_against(self, spec: AcquisitionSpec, bands: BandTable) -> None:
         """Class signatures must sit inside the pass band but outside the
@@ -107,38 +103,6 @@ class SynthConfig:
                             f"class {class_label} signature {f:g} Hz falls in the "
                             f"suppressed {band.name} band"
                         )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trials_per_class": self.n_trials_per_class,
-            "misarticulation_rate": self.misarticulation_rate,
-            "pink_noise_scale": self.pink_noise_scale,
-            "class_signature_freqs_hz": [list(r) for r in self.class_signature_freqs_hz],
-            "class_signature_amp": self.class_signature_amp,
-            "delta_gain_mis": self.delta_gain_mis,
-            "alpha_gain_mis": self.alpha_gain_mis,
-            "gamma_gain_mis": self.gamma_gain_mis,
-            "delta_freqs_hz": list(self.delta_freqs_hz),
-            "alpha_freqs_hz": list(self.alpha_freqs_hz),
-            "gamma_freqs_hz": list(self.gamma_freqs_hz),
-            "delta_amp": self.delta_amp,
-            "alpha_amp": self.alpha_amp,
-            "gamma_amp": self.gamma_amp,
-            "amp_jitter": self.amp_jitter,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SynthConfig":
-        kwargs = dict(d)
-        if "class_signature_freqs_hz" in kwargs:
-            kwargs["class_signature_freqs_hz"] = tuple(
-                tuple(row) for row in kwargs["class_signature_freqs_hz"]
-            )
-        for key in ("delta_freqs_hz", "alpha_freqs_hz", "gamma_freqs_hz"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
 
 def splitmix64(value: int) -> int:
@@ -164,7 +128,7 @@ def _pink_weights(half: int) -> np.ndarray:
     return weights
 
 
-def _pink_noise_batch(n_rows: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+def pink_noise(n_rows: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Rows of zero-mean 1/f noise with unit expected rms."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -181,11 +145,6 @@ def _pink_noise_batch(n_rows: int, n_samples: int, rng: np.random.Generator) -> 
     parts[:, 2 * half] = gauss[:, 2 * half - 2] * weights[half - 1]  # real Nyquist
     x = np.fft.irfft(spectrum, n=nfft, axis=-1) * nfft
     return x[:, :n_samples] - x[:, :n_samples].mean(axis=-1, keepdims=True)
-
-
-def pink_noise(n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """One zero-mean 1/f-noise realization with unit expected rms."""
-    return _pink_noise_batch(1, n_samples, rng)[0]
 
 
 def _region_gain(
@@ -214,7 +173,7 @@ def generate_trial(
     config: SynthConfig,
     montage: Montage,
     rng: np.random.Generator,
-    spec: AcquisitionSpec | None = None,
+    spec: AcquisitionSpec,
     trial_id: int = 0,
 ) -> TrialRecord:
     """One synthetic trial; all randomness comes from `rng`.
@@ -223,12 +182,11 @@ def generate_trial(
     already-drawn components, so regenerating with the other label keeps the
     shared noise and phases bit-identical.
     """
-    spec = spec or AcquisitionSpec()
     names = montage.channel_names[: spec.n_channels]
     n_ch = spec.n_channels
     n = spec.n_samples
 
-    samples = _pink_noise_batch(n_ch, n, rng) * config.pink_noise_scale
+    samples = pink_noise(n_ch, n, rng) * config.pink_noise_scale
 
     mis = domain_label is DomainLabel.MISARTICULATED
     # (freqs, base amplitude, per-channel gain vector) for every component group
@@ -265,24 +223,16 @@ def generate_trial(
     return TrialRecord(trial_id, class_label, domain_label, samples)
 
 
-def generate_dataset(
-    config: SynthConfig,
-    montage: Montage | None = None,
-    spec: AcquisitionSpec | None = None,
-    bands: BandTable | None = None,
-) -> Dataset:
-    """4 * n_trials_per_class trials, classes round-robin, domains Bernoulli.
+def generate_dataset(config: SynthConfig) -> Dataset:
+    """4 * n_trials_per_class trials of the default acquisition spec and
+    montage, classes round-robin, domains Bernoulli.
 
     A pure function of the config: per-trial generators are derived from
     config.seed, so trial order and prior draws cannot leak between trials.
     """
-    montage = montage or default_montage()
-    spec = spec or AcquisitionSpec()
-    config.validate_against(spec, bands or BandTable())
-    if len(montage) < spec.n_channels:
-        raise ValueError(
-            f"montage has {len(montage)} channels, spec wants {spec.n_channels}"
-        )
+    montage = default_montage()
+    spec = AcquisitionSpec()
+    config.validate_against(spec, BandTable())
     names = montage.channel_names[: spec.n_channels]
     trials = []
     for tid in range(4 * config.n_trials_per_class):

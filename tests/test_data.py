@@ -10,7 +10,6 @@ from eegintent.data import (
     TrialRecord,
     load_dataset,
     save_dataset,
-    stratified_split,
     stratified_split_indices,
 )
 from eegintent.errors import (
@@ -219,7 +218,9 @@ class TestStratifiedSplit:
 
     def test_dataset_level_split(self):
         ds = make_dataset(16)
-        train, test = stratified_split(ds, 0.25, seed=1)
+        train_idx, test_idx = stratified_split_indices(
+            ds.class_labels(), ds.domain_labels(), 0.25, seed=1)
+        train, test = ds.subset(train_idx), ds.subset(test_idx)
         assert len(train) + len(test) == len(ds)
         ids = {t.trial_id for t in train.trials} | {t.trial_id for t in test.trials}
         assert ids == {t.trial_id for t in ds.trials}

@@ -18,6 +18,7 @@ from eegintent.model import (
     _log_softmax,
     _mmd_embedding_grads,
     _mmd_sigma,
+    _rbf_kernels,
     backward,
     band_mask_bins,
     compute_loss,
@@ -109,7 +110,8 @@ def reference_backward(params, x, y_class, y_domain, config):
     correct, mis = np.flatnonzero(y_domain == 0), np.flatnonzero(y_domain == 1)
     sigma = _mmd_sigma(config, emb_d) if len(correct) and len(mis) else None
     if config.lambda2 != 0.0 and sigma is not None:
-        dx, dy = _mmd_embedding_grads(emb_d[correct], emb_d[mis], sigma)
+        x, y = emb_d[correct], emb_d[mis]
+        dx, dy = _mmd_embedding_grads(x, y, sigma, _rbf_kernels(x, y, sigma))
         d_emb_d = d_emb_d.copy()
         d_emb_d[correct] += config.lambda2 * dx
         d_emb_d[mis] += config.lambda2 * dy

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eegintent.errors import UnknownChannel
-from eegintent.montage import Region, channel_position, default_montage
+from eegintent.montage import Region, default_montage
 
 
 @pytest.fixture(scope="module")
@@ -16,26 +16,26 @@ def test_has_64_unique_channels(montage):
 
 
 def test_vertex_at_origin(montage):
-    x, y, region = channel_position(montage, "Cz")
-    assert (x, y) == (0.0, 0.0)
-    assert region is Region.FRONTAL_CENTRAL
+    e = montage.entry("Cz")
+    assert (e.x, e.y) == (0.0, 0.0)
+    assert e.region is Region.FRONTAL_CENTRAL
 
 
 def test_t7_on_left_rim(montage):
-    x, y, region = channel_position(montage, "T7")
-    assert (x, y) == (-0.9, 0.0)
-    assert region is Region.TEMPORAL
+    e = montage.entry("T7")
+    assert (e.x, e.y) == (-0.9, 0.0)
+    assert e.region is Region.TEMPORAL
 
 
 def test_unknown_channel(montage):
     with pytest.raises(UnknownChannel):
-        channel_position(montage, "XX")
+        montage.entry("XX")
 
 
 def test_coordinates_inside_unit_box(montage):
     for name in montage.channel_names:
-        x, y, _ = channel_position(montage, name)
-        assert -1.0 <= x <= 1.0 and -1.0 <= y <= 1.0
+        e = montage.entry(name)
+        assert -1.0 <= e.x <= 1.0 and -1.0 <= e.y <= 1.0
 
 
 def test_required_region_members(montage):
@@ -49,7 +49,6 @@ def test_required_region_members(montage):
 def test_left_right_symmetry(montage):
     pairs = [("F3", "F4"), ("C3", "C4"), ("P7", "P8"), ("FT9", "FT10")]
     for left, right in pairs:
-        xl, yl, _ = channel_position(montage, left)
-        xr, yr, _ = channel_position(montage, right)
-        assert xl == pytest.approx(-xr)
-        assert yl == pytest.approx(yr)
+        el, er = montage.entry(left), montage.entry(right)
+        assert el.x == pytest.approx(-er.x)
+        assert el.y == pytest.approx(er.y)

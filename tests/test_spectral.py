@@ -1,17 +1,20 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegintent.data import AcquisitionSpec, DomainLabel, TrialRecord
+from eegintent.data import AcquisitionSpec, Dataset, DomainLabel, TrialRecord
 from eegintent.errors import EmptyBand, NonPowerOfTwoLength, SignalTooShort
+from eegintent.montage import default_montage
 from eegintent.spectral import (
     Band,
     BandTable,
     WelchConfig,
     band_power,
     band_powers_from_features,
-    extract_features,
+    extract_feature_set,
     fft,
     ifft,
     welch_psd,
@@ -174,6 +177,13 @@ class TestBandTable:
 
 def make_trial(samples, trial_id=0):
     return TrialRecord(trial_id, 0, DomainLabel.CORRECT, samples)
+
+
+def extract_features(trial, config, spec):
+    """The feature set of a one-trial dataset: its values and bin frequencies."""
+    names = default_montage().channel_names[: spec.n_channels]
+    features = extract_feature_set(Dataset(spec, names, (trial,)), config)
+    return SimpleNamespace(values=features.values[0], bin_freqs_hz=features.bin_freqs_hz)
 
 
 class TestExtractFeatures:

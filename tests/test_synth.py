@@ -24,30 +24,30 @@ class TestPinkNoise:
         rng = np.random.default_rng(1234)
         accum = np.zeros(751)
         for _ in range(200):
-            accum += np.abs(np.fft.rfft(pink_noise(1500, rng))) ** 2
+            accum += np.abs(np.fft.rfft(pink_noise(1, 1500, rng)[0])) ** 2
         freqs = np.fft.rfftfreq(1500, 1.0 / SPEC.sample_rate_hz)
         keep = (freqs >= 1.0) & (freqs <= 50.0)
         slope = np.polyfit(np.log(freqs[keep]), np.log(accum[keep]), 1)[0]
         assert -1.4 <= slope <= -0.6
 
     def test_deterministic(self):
-        a = pink_noise(1000, np.random.default_rng(9))
-        b = pink_noise(1000, np.random.default_rng(9))
+        a = pink_noise(1, 1000, np.random.default_rng(9))[0]
+        b = pink_noise(1, 1000, np.random.default_rng(9))[0]
         assert np.array_equal(a, b)
 
     def test_two_samples(self):
-        x = pink_noise(2, np.random.default_rng(0))
+        x = pink_noise(1, 2, np.random.default_rng(0))[0]
         assert x.shape == (2,)
         assert np.isfinite(x).all()
         assert x.mean() == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_mean(self):
-        x = pink_noise(1500, np.random.default_rng(3))
+        x = pink_noise(1, 1500, np.random.default_rng(3))[0]
         assert x.mean() == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
-            pink_noise(1, np.random.default_rng(0))
+            pink_noise(1, 1, np.random.default_rng(0))
 
 
 def frontal_indices(names):
