@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .codec import Schema, write_text
-from .data import SplitConfig, load_dataset, save_dataset, stratified_split_indices
+from .data import (
+    AcquisitionSpec,
+    SplitConfig,
+    load_dataset,
+    save_dataset,
+    stratified_split_indices,
+)
 from .errors import PipelineError
 from .evaluation import evaluate
 from .model import (
@@ -97,26 +103,37 @@ class RunConfig(Schema):
             _model_config(self.to_dict(), 1, [1.0])
         except ValueError as exc:
             raise ValueError(f"model.{exc}") from None
+        try:  # the decoder's mask must not suppress class evidence
+            self.synth.validate_against(AcquisitionSpec(), self.bands)
+        except ValueError as exc:
+            raise ValueError(f"synth.class_signature_freqs_hz: {exc}") from None
 
 
 def default_run_config() -> dict:
     return RunConfig().to_dict()
 
 
-def load_run_config(path: str | None) -> dict:
-    """The defaults with the file's values merged in, every value checked: an
-    unknown key or a bad value is a ValueError that names the dotted key."""
-    if path is None:
-        return default_run_config()
-    p = Path(path)
-    if not p.is_file():
-        raise PipelineError(f"no config file at {p}")
-    try:
-        user = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
-        raise PipelineError(f"config file {p}: {exc}") from exc
-    if not isinstance(user, dict):
-        raise PipelineError(f"config file {p}: top level must be an object")
+def load_run_config(path: str | None, args=None) -> dict:
+    """The defaults with the file's values merged in, then the parsed flags in
+    `args` that override a config value (--seed, --alpha, --seeds), every
+    value checked and hashed alike: an unknown key or a bad value is a
+    ValueError that names the dotted key."""
+    user = {}
+    if path is not None:
+        p = Path(path)
+        if not p.is_file():
+            raise PipelineError(f"no config file at {p}")
+        try:
+            user = json.loads(p.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+            raise PipelineError(f"config file {p}: {exc}") from exc
+        if not isinstance(user, dict):
+            raise PipelineError(f"config file {p}: top level must be an object")
+    seed_section = "model" if getattr(args, "stage", None) == "train" else "synth"
+    for key, section in (("seed", seed_section), ("alpha", "stats"), ("seeds", "report")):
+        value = getattr(args, key, None)
+        if value is not None and isinstance(user.get(section, {}), dict):
+            user[section] = {**user.get(section, {}), key: value}
     return RunConfig.from_dict(user).to_dict()
 
 
@@ -194,8 +211,7 @@ def _band_maps(cfg: dict, features, alpha: float):
 
 def _cmd_stats(cfg: dict, args) -> int:
     features = read_features(args.features)
-    alpha = StatsConfig(args.alpha).alpha if args.alpha is not None else cfg["stats"]["alpha"]
-    maps = _band_maps(cfg, features, alpha)
+    maps = _band_maps(cfg, features, cfg["stats"]["alpha"])
     out_dir = Path(args.out or cfg["out_dir"])
     _write_maps(maps, out_dir, config_hash(cfg))
     n_sig = sum(int(m.significant.sum()) for m in maps)
@@ -333,7 +349,7 @@ def _report_csv(payload: dict) -> str:
 
 
 def _cmd_report(cfg: dict, args) -> int:
-    n_seeds = ReportConfig(args.seeds if args.seeds is not None else cfg["report"]["seeds"]).seeds
+    n_seeds = cfg["report"]["seeds"]
     out_dir = Path(args.out or cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = run_report(cfg, n_seeds, out_dir)
@@ -397,10 +413,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     stage = args.stage
     try:
-        cfg = load_run_config(args.config)
-        if getattr(args, "seed", None) is not None:
-            section = "model" if stage == "train" else "synth"
-            cfg[section]["seed"] = args.seed
+        cfg = load_run_config(args.config, args)
         return args.command(cfg, args)
     except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)

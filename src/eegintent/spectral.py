@@ -1,8 +1,11 @@
 """FFT, Welch PSD estimation, band powers, and per-trial spectral features.
 
-The PSD path is fully deterministic: radix-2 FFT with a fixed butterfly
-order, periodic Hann windows, per-segment mean removal, and one-sided
-density scaling in microvolt^2 per Hz.
+Both PSD paths use periodic Hann windows, per-segment mean removal and
+one-sided density scaling in microvolt^2 per Hz. The feature path is a DFT
+of the kept bins only, one BLAS matmul per trial; welch_psd, the radix-2 FFT
+with a fixed butterfly order over every bin, is its reference. The last bits
+of the float64 feature values may depend on the BLAS build and CPU kernel;
+the float32 feature file is the reproducible artifact.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import (
     Schema,
@@ -26,10 +30,6 @@ from .errors import EmptyBand, NonPowerOfTwoLength, SignalTooShort
 PSD_FLOOR = 1e-12  # microvolt^2/Hz, applied before log10
 
 FEATURES_FORMAT = "eegintent-features-v1"
-
-# trials per batch of the feature extractor; sets memory use, not results
-_CHUNK_TRIALS = 8
-
 
 # --- FFT -----------------------------------------------------------------
 
@@ -111,62 +111,50 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _welch_psd_batch(signals: np.ndarray, config: WelchConfig, sample_rate_hz: float):
-    """One-sided Welch PSD of each row of `signals`; shape (B, nfft/2 + 1).
+@lru_cache(maxsize=8)
+def _kept_bin_basis(seg: int, bins: tuple[int, ...]) -> np.ndarray:
+    """(seg, 2K) [real | imag] of fft of the Hann-windowed identity at K bins,
+    the window times [cos | -sin]: a segment times it is the real and
+    imaginary part of the same windowed DFT welch_psd takes, at those bins."""
+    columns = fft(np.diag(_hann(seg)))[:, list(bins)]
+    basis = np.hstack([columns.real, columns.imag])
+    basis.flags.writeable = False
+    return basis
 
-    Segment periodograms are computed two-at-a-time by packing segment pairs
-    into one complex FFT; pairing stays inside each row, so per-row results
-    do not depend on the batch around them.
-    """
-    signals = np.asarray(signals, dtype=np.float64)
-    n = signals.shape[-1]
-    seg = config.segment_length
+
+def _detrended_segments(signals: np.ndarray, config: WelchConfig) -> np.ndarray:
+    """A new (..., n_segments, seg) array of each row's mean-removed segments."""
+    n, seg = signals.shape[-1], config.segment_length
     if n < seg:
         raise SignalTooShort(f"signal length {n} < segment length {seg}")
-    step = seg - config.overlap
-    n_segments = (n - seg) // step + 1
-    window = _hann(seg)
-    scale = 1.0 / (sample_rate_hz * np.sum(window**2))
+    windows = sliding_window_view(signals, seg, axis=-1)[..., :: seg - config.overlap, :]
+    return windows - windows.mean(axis=-1, keepdims=True)
 
-    starts = step * np.arange(n_segments)
-    segments = np.stack([signals[..., s : s + seg] for s in starts], axis=-2)
-    segments -= segments.mean(axis=-1, keepdims=True)
-    segments *= window
-    if n_segments % 2:  # pad one zero segment so pairs line up
-        pad_shape = segments.shape[:-2] + (1, seg)
-        segments = np.concatenate([segments, np.zeros(pad_shape)], axis=-2)
 
-    z = segments[..., 0::2, :] + 1j * segments[..., 1::2, :]
-    spectrum = fft(z)
-    reversed_conj = np.conj(
-        np.concatenate([spectrum[..., :1], spectrum[..., :0:-1]], axis=-1)
-    )
-    half = seg // 2 + 1
-    even_part = 0.5 * (spectrum + reversed_conj)[..., :half]
-    odd_part = (-0.5j * (spectrum - reversed_conj))[..., :half]
-    pair_power = (
-        even_part.real**2
-        + even_part.imag**2
-        + odd_part.real**2
-        + odd_part.imag**2
-    )
-    psd = pair_power.sum(axis=-2) * (scale / n_segments)
-    psd[..., 1 : seg // 2] *= 2.0  # one-sided doubling, DC and Nyquist excluded
-    bin_freqs = np.arange(half) * (sample_rate_hz / seg)
-    return psd, bin_freqs
+def _one_sided_density(power, bins, seg: int, n_segments: int, sample_rate_hz: float):
+    """Segment-summed |X_k|^2 as one-sided density: 1/(fs * sum(w^2)), the
+    mean over segments, and doubling of every bin but DC and Nyquist."""
+    scale = 1.0 / (sample_rate_hz * np.sum(_hann(seg) ** 2)) / n_segments
+    return power * np.where((bins > 0) & (bins < seg // 2), 2.0 * scale, scale)
 
 
 def welch_psd(signal, config: WelchConfig, sample_rate_hz: float):
     """Welch PSD of a single signal: (psd [nfft/2+1], bin_freqs_hz).
 
-    Averages Hann-windowed, mean-detrended segment periodograms; density
-    scaling 1/(fs * sum(w^2)) with one-sided doubling.
+    The FFT reference of the feature path: one fft per Hann-windowed,
+    mean-detrended segment, periodograms averaged with density scaling
+    1/(fs * sum(w^2)) and one-sided doubling.
     """
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {signal.shape}")
-    psd, bin_freqs = _welch_psd_batch(signal[None, :], config, sample_rate_hz)
-    return psd[0], bin_freqs
+    seg = config.segment_length
+    segments = _detrended_segments(signal, config)
+    bins = np.arange(seg // 2 + 1)
+    spectrum = fft(segments * _hann(seg))[:, bins]
+    power = (spectrum.real**2 + spectrum.imag**2).sum(axis=0)
+    psd = _one_sided_density(power, bins, seg, len(segments), sample_rate_hz)
+    return psd, bins * (sample_rate_hz / seg)
 
 
 def band_power(psd, bin_freqs, band: tuple[float, float]) -> float:
@@ -290,30 +278,32 @@ def extract_feature_set(
     """Per-channel Welch log10 PSD over the acquisition band, every trial
     stacked.
 
-    Trials are processed in chunks of flattened channel signals purely for
-    speed; each trial's values do not depend on the chunk around it.
+    Only the bins with centers in [band_low, band_high] are computed: each
+    trial's detrended segments times the kept-bin DFT basis, one BLAS matmul
+    of the same shape for every trial, so a trial's values do not depend on
+    the trials around it.
     """
     spec = dataset.spec
     n_trials = len(dataset.trials)
     if n_trials == 0:
         raise ValueError("dataset has no trials")
-    values = None
-    keep = None
-    for start in range(0, n_trials, _CHUNK_TRIALS):
-        block = dataset.trials[start : start + _CHUNK_TRIALS]
-        stacked = np.stack([t.samples for t in block]).astype(np.float64)
-        flat = stacked.reshape(-1, spec.n_samples)
-        psd, bin_freqs = _welch_psd_batch(flat, config, spec.sample_rate_hz)
-        if keep is None:  # bins with centers in [band_low, band_high], inclusive
-            low, high = spec.band_low_hz, spec.band_high_hz
-            keep = np.flatnonzero((bin_freqs >= low) & (bin_freqs <= high))
-            kept_freqs = bin_freqs[keep]
-            values = np.empty((n_trials, spec.n_channels, len(keep)))
-        block_psd = psd[:, keep].reshape(len(block), spec.n_channels, -1)
-        values[start : start + len(block)] = np.log10(np.maximum(block_psd, PSD_FLOOR))
+    seg = config.segment_length
+    bins = np.arange(seg // 2 + 1)
+    freqs = bins * (spec.sample_rate_hz / seg)
+    keep = bins[(freqs >= spec.band_low_hz) & (freqs <= spec.band_high_hz)]
+    basis = _kept_bin_basis(seg, tuple(keep.tolist()))
+    values = np.empty((n_trials, spec.n_channels, len(keep)))
+    for i, trial in enumerate(dataset.trials):
+        segments = _detrended_segments(trial.samples.astype(np.float64), config)
+        n_channels, n_segments = segments.shape[:2]
+        parts = (segments.reshape(-1, seg) @ basis) ** 2
+        power = parts[:, : len(keep)] + parts[:, len(keep) :]
+        power = power.reshape(n_channels, n_segments, -1).sum(axis=1)
+        psd = _one_sided_density(power, keep, seg, n_segments, spec.sample_rate_hz)
+        values[i] = np.log10(np.maximum(psd, PSD_FLOOR))
     return FeatureSet(
         values,
-        kept_freqs,
+        freqs[keep],
         spec.sample_rate_hz,
         dataset.channel_names,
         np.array([t.trial_id for t in dataset.trials], dtype=np.int64),

@@ -85,11 +85,12 @@ class SynthConfig(Schema):
         if not 0.0 <= self.amp_jitter < 1.0:
             raise ValueError("amp_jitter must be in [0, 1)")
 
-    def validate_against(self, spec: AcquisitionSpec, bands: BandTable) -> None:
-        """Class signatures must sit inside the pass band but outside the
-        suppressed delta/alpha/gamma ranges, so class evidence survives the
-        class-branch mask."""
-        suppressed = [bands.get(name) for name in ("delta", "alpha", "gamma")]
+    def validate_against(self, spec: AcquisitionSpec, bands: BandTable | None = None) -> None:
+        """Class signatures must sit inside the pass band and, given the run's
+        bands, outside the suppressed delta/alpha/gamma ranges, so class
+        evidence survives the class-branch mask."""
+        names = ("delta", "alpha", "gamma") if bands is not None else ()
+        suppressed = [bands.get(name) for name in names]
         for class_label, freqs in enumerate(self.class_signature_freqs_hz):
             for f in freqs:
                 if not spec.band_low_hz <= f <= spec.band_high_hz:
@@ -229,10 +230,12 @@ def generate_dataset(config: SynthConfig) -> Dataset:
 
     A pure function of the config: per-trial generators are derived from
     config.seed, so trial order and prior draws cannot leak between trials.
+    The class signatures must sit in the pass band (ValueError); the run
+    config also checks them against its bands.
     """
     montage = default_montage()
     spec = AcquisitionSpec()
-    config.validate_against(spec, BandTable())
+    config.validate_against(spec)
     names = montage.channel_names[: spec.n_channels]
     trials = []
     for tid in range(4 * config.n_trials_per_class):

@@ -72,6 +72,31 @@ class TestConfig:
         assert config_hash(cfg) == config_hash(again)
         cfg["synth"]["seed"] += 1
         assert config_hash(cfg) != config_hash(again)
+        default_hash = "6ef3265905554e44bed8df79f2f298c1ec200b991a9c7b9bd5ec21545b84a170"
+        assert config_hash(default_run_config()) == default_hash
+
+    @pytest.mark.parametrize(
+        "bands, signatures, code",
+        [
+            # every signature's beta partner lands in a widened gamma band
+            ({"beta": [13, 14], "gamma": [14, 50]}, None, 1),
+            # 3.9 Hz signatures sit in theta once delta ends at 3 Hz
+            ({"delta": [1, 3], "theta": [3, 8]},
+             [[3.90625, 15.625], [5.859375, 19.53125],
+              [6.8359375, 23.4375], [7.8125, 27.34375]], 0),
+        ],
+    )
+    def test_signatures_checked_against_run_bands(self, tmp_path, capsys,
+                                                  bands, signatures, code):
+        synth = {"n_trials_per_class": 1}
+        if signatures is not None:
+            synth["class_signature_freqs_hz"] = signatures
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            {"synth": synth, "bands": {**BandTable().to_dict(), **bands}}))
+        assert run("synth", "--config", str(path), "--out", str(tmp_path / "o")) == code
+        err = capsys.readouterr().err
+        assert ("synth: ValueError: synth.class_signature_freqs_hz" in err) == bool(code)
 
 
 class TestPipeline:
@@ -132,6 +157,17 @@ class TestPipeline:
         assert chash in csv_text
         svg_text = (out / "stats" / "topomap_delta.svg").read_text()
         assert chash in svg_text
+
+    def test_alpha_flag_hashed(self, tmp_path, tiny_config_path, tiny_features):
+        cfg = ["--config", str(tiny_config_path), "--features", str(tiny_features)]
+        texts = []
+        for alpha in ([], ["--alpha", "0.01"]):
+            out = tmp_path / f"stats{len(alpha)}"
+            assert run("stats", *cfg, *alpha, "--out", str(out)) == 0
+            texts.append([(out / name).read_text().split("\n")[0]
+                          for name in ("stats_delta.csv", "topomap_delta.svg")])
+        for at_default, at_flag in zip(*texts):
+            assert "config_hash=" in at_flag and at_default != at_flag
 
     def test_band_key_order_irrelevant(self, tmp_path, tiny_features):
         config = {**TINY_CONFIG, "bands": BandTable().to_dict()}
@@ -229,6 +265,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "train: ValueError" in err and key in err
         assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["train", "--seed", "-1", "--features", "none.bin"], "model.seed"),
+            (["stats", "--alpha", "0", "--features", "none.bin"], "stats.alpha"),
+            (["report", "--seeds", "0"], "report.seeds"),
+        ],
+    )
+    def test_bad_flag_value_names_key_before_reading(self, tmp_path, capsys, argv, key):
+        assert run(*argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert f"{argv[0]}: ValueError: {key} " in err
+        assert not (tmp_path / "out").exists()
 
     def test_cell_too_small_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

@@ -19,6 +19,7 @@ from eegintent.spectral import (
     ifft,
     welch_psd,
 )
+from eegintent.synth import SynthConfig, generate_dataset
 
 FS = 500.0
 
@@ -179,11 +180,21 @@ def make_trial(samples, trial_id=0):
     return TrialRecord(trial_id, 0, DomainLabel.CORRECT, samples)
 
 
+def dataset_of(trials, spec):
+    return Dataset(spec, default_montage().channel_names[: spec.n_channels], tuple(trials))
+
+
 def extract_features(trial, config, spec):
     """The feature set of a one-trial dataset: its values and bin frequencies."""
-    names = default_montage().channel_names[: spec.n_channels]
-    features = extract_feature_set(Dataset(spec, names, (trial,)), config)
+    features = extract_feature_set(dataset_of([trial], spec), config)
     return SimpleNamespace(values=features.values[0], bin_freqs_hz=features.bin_freqs_hz)
+
+
+def synth_trials(n_channels, n_trials_per_class=1, offset=0.0):
+    """Synthetic trials cut to their first channels and shifted by `offset` uV."""
+    dataset = generate_dataset(SynthConfig(n_trials_per_class=n_trials_per_class, seed=7))
+    return [TrialRecord(t.trial_id, t.class_label, t.domain_label,
+                        t.samples[:n_channels] + offset) for t in dataset.trials]
 
 
 class TestExtractFeatures:
@@ -208,6 +219,31 @@ class TestExtractFeatures:
         a = extract_features(make_trial(samples), WelchConfig(), self.spec)
         b = extract_features(make_trial(samples), WelchConfig(), self.spec)
         assert np.array_equal(a.values, b.values)
+
+    def test_trial_values_independent_of_neighbours(self):
+        spec = AcquisitionSpec(n_channels=3)
+        trials = synth_trials(spec.n_channels, n_trials_per_class=3)
+        together = extract_feature_set(dataset_of(trials, spec), WelchConfig()).values
+        for trial, values in zip(trials, together):
+            assert np.array_equal(extract_features(trial, WelchConfig(), spec).values, values)
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    @pytest.mark.parametrize("band", [(1.0, 50.0), (0.0, FS / 2)])  # the second keeps DC and Nyquist
+    @pytest.mark.parametrize(
+        "segment_length, overlap", [(512, 256), (256, 0), (512, 100), (1024, 512)]
+    )
+    def test_matches_welch_psd_row_by_row(self, segment_length, overlap, band, offset):
+        spec = AcquisitionSpec(n_channels=4, band_low_hz=band[0], band_high_hz=band[1])
+        trials = synth_trials(spec.n_channels, offset=offset)
+        assert trials[0].samples.dtype == np.float32  # as load_dataset returns them
+        cfg = WelchConfig(segment_length, overlap)
+        feats = extract_feature_set(dataset_of(trials, spec), cfg)
+        for trial, values in zip(trials, feats.values):
+            for samples, row in zip(trial.samples, values):
+                psd, freqs = welch_psd(samples, cfg, FS)
+                keep = (freqs >= band[0]) & (freqs <= band[1])
+                assert np.array_equal(feats.bin_freqs_hz, freqs[keep])
+                assert np.abs(10.0**row / psd[keep] - 1.0).max() <= 1e-9
 
     def test_band_powers_from_features_match_direct(self):
         rng = np.random.default_rng(9)

@@ -108,6 +108,15 @@ class TestGenerateTrial:
 
 
 class TestGenerateDataset:
+    def test_signatures_checked_against_pass_band_only(self):
+        pairs = ((6.0, 20.0), (6.5, 21.0), (7.0, 22.0))
+        with pytest.raises(ValueError, match="60 Hz outside the .* pass band"):
+            generate_dataset(SynthConfig(n_trials_per_class=1,
+                                         class_signature_freqs_hz=((5.0, 60.0), *pairs)))
+        # the suppressed bands are the run config's, not a default table's
+        in_alpha = SynthConfig(n_trials_per_class=1, class_signature_freqs_hz=((5.0, 10.0), *pairs))
+        assert len(generate_dataset(in_alpha)) == 4
+
     def test_default_sizing(self):
         ds = generate_dataset(SynthConfig(n_trials_per_class=3, seed=0))
         assert len(ds) == 12
