@@ -6,8 +6,6 @@ evaluated against an encoder-only baseline."""
 from .data import (
     AcquisitionSpec,
     Dataset,
-    DomainLabel,
-    TrialRecord,
     load_dataset,
     save_dataset,
     stratified_split_indices,

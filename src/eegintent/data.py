@@ -1,21 +1,23 @@
-"""Trial/dataset model, lossless on-disk format, and stratified splitting.
+"""The trial table, its lossless on-disk format, and stratified splitting.
 
-A dataset on disk is a JSON manifest plus one binary blob file. Samples are
-stored channel-major as little-endian float32, so a save/load round trip is
-bit-exact. Trials are immutable after construction.
+A dataset is one read-only float32 [trials x channels x samples] array in
+microvolts plus int64 trial ids, class labels and domain labels (1 =
+misarticulated). On disk it is a JSON manifest, which names the domains as
+DOMAIN_NAMES, plus one blob that holds trial i channel-major as little-endian
+float32 at byte i * channels * samples * 4: a round trip is bit-exact.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .codec import (
     Schema,
+    check_value,
     header_fields,
     is_int,
     read_header,
@@ -27,12 +29,9 @@ from .montage import default_montage
 
 N_CLASSES = 4
 
+DOMAIN_NAMES = ("correct", "misarticulated")  # domain label 0 and 1 in the files
+
 MANIFEST_FORMAT = "eegintent-dataset-v1"
-
-
-class DomainLabel(Enum):
-    CORRECT = "correct"
-    MISARTICULATED = "misarticulated"
 
 
 @dataclass(frozen=True)
@@ -60,43 +59,43 @@ class AcquisitionSpec(Schema):
         return round(self.sample_rate_hz * self.trial_seconds)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One 3 s multichannel epoch with its class and domain labels.
-
-    Samples are kept as a read-only float32 [n_channels x n_samples] array in
-    microvolts; float32 is the storage dtype, so round trips are exact.
-    """
-
-    trial_id: int
-    class_label: int
-    domain_label: DomainLabel
-    samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.trial_id < 0:
-            raise ValueError(f"trial_id must be non-negative, got {self.trial_id}")
-        if self.class_label not in range(N_CLASSES):
-            raise ValueError(
-                f"trial {self.trial_id}: class_label must be in 0..{N_CLASSES - 1}, "
-                f"got {self.class_label}"
-            )
-        samples = np.ascontiguousarray(self.samples, dtype=np.float32)
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+def _check_labels(trial_ids, class_labels, domain_labels):
+    """The three label vectors as int64 arrays. ValueError unless each lists
+    integers (not booleans), all of one length, the ids unique and >= 0, the
+    classes in 0..N_CLASSES-1 and the domains 0 or 1."""
+    names = ("trial_ids", "class_labels", "domain_labels")
+    ids, classes, domains = (np.array(check_value(v, tuple[int, ...], key), dtype=np.int64)
+                             for v, key in zip((trial_ids, class_labels, domain_labels), names))
+    if not len(ids) == len(classes) == len(domains):
+        raise ValueError(f"label vectors of lengths {len(ids)}, {len(classes)}, {len(domains)}")
+    if (ids < 0).any():
+        raise ValueError(f"trial_id must be non-negative, got {ids.min()}")
+    unique, counts = np.unique(ids, return_counts=True)
+    if (counts > 1).any():
+        raise ValueError(f"duplicate trial_id {unique[counts > 1][0]}")
+    for labels, name, n in ((classes, "class_label", N_CLASSES), (domains, "domain_label", 2)):
+        bad = np.flatnonzero((labels < 0) | (labels >= n))
+        if len(bad):
+            raise ValueError(f"trial {ids[bad[0]]}: {name} must be in 0..{n - 1}, "
+                             f"got {labels[bad[0]]}")
+    return ids, classes, domains
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """An acquisition spec, the channel ordering, and the trial list."""
+    """An acquisition spec, the channel ordering, and the trial table (see the
+    module docstring); construction checks the labels and the samples' shape
+    and finiteness, naming a bad trial."""
 
     spec: AcquisitionSpec
     channel_names: tuple[str, ...]
-    trials: tuple[TrialRecord, ...]
+    samples: np.ndarray = field(repr=False)
+    trial_ids: np.ndarray
+    class_labels: np.ndarray
+    domain_labels: np.ndarray  # 1 = misarticulated
 
     def __post_init__(self):
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
-        object.__setattr__(self, "trials", tuple(self.trials))
         montage = default_montage()
         if len(set(self.channel_names)) != len(self.channel_names):
             raise ValueError("channel names must be unique")
@@ -108,52 +107,47 @@ class Dataset:
         for name in self.channel_names:
             if name not in montage:
                 raise ValueError(f"channel {name!r} is not in the montage")
-        seen = set()
+        labels = _check_labels(self.trial_ids, self.class_labels, self.domain_labels)
+        samples = np.ascontiguousarray(self.samples, dtype=np.float32).view()
+        for name, array in zip(("samples", "trial_ids", "class_labels", "domain_labels"),
+                               (samples, *labels)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        ids = self.trial_ids
         expected = (self.spec.n_channels, self.spec.n_samples)
-        for t in self.trials:
-            if t.trial_id in seen:
-                raise ValueError(f"duplicate trial_id {t.trial_id}")
-            seen.add(t.trial_id)
-            if t.samples.shape != expected:
-                raise DimensionMismatch(t.trial_id, expected, t.samples.shape)
-            if not np.isfinite(t.samples).all():
-                raise NonFiniteSample(t.trial_id)
+        if samples.ndim != 3 or len(samples) != len(ids):
+            raise ValueError(f"samples of shape {samples.shape} for {len(ids)} trials")
+        if len(ids) and samples.shape[1:] != expected:  # one shape: the first trial is named
+            raise DimensionMismatch(int(ids[0]), expected, samples.shape[1:])
+        # one trial at a time: no boolean temporary the size of the samples
+        for trial_id, trial in zip(ids, samples):
+            if not np.isfinite(trial).all():
+                raise NonFiniteSample(int(trial_id))
 
     def __len__(self) -> int:
-        return len(self.trials)
-
-    def class_labels(self) -> np.ndarray:
-        return np.array([t.class_label for t in self.trials], dtype=np.int64)
-
-    def domain_labels(self) -> np.ndarray:
-        """1 for misarticulated trials, 0 for correct ones."""
-        return np.array(
-            [int(t.domain_label is DomainLabel.MISARTICULATED) for t in self.trials],
-            dtype=np.int64,
-        )
-
-    def subset(self, indices) -> "Dataset":
-        return Dataset(self.spec, self.channel_names, tuple(self.trials[i] for i in indices))
+        return len(self.trial_ids)
 
 
-def trial_entry(trial_id, class_label, misarticulated) -> dict:
-    """The labels of one trial as the manifest and the feature header store them."""
-    domain = DomainLabel.MISARTICULATED if misarticulated else DomainLabel.CORRECT
-    return {"trial_id": int(trial_id), "class_label": int(class_label),
-            "domain_label": domain.value}
+def trial_entries(trial_ids, class_labels, domain_labels) -> list[dict]:
+    """The labels as the manifest and the feature header store them, one
+    entry per trial; ValueError as _check_labels."""
+    ids, classes, domains = _check_labels(trial_ids, class_labels, domain_labels)
+    return [{"trial_id": int(t), "class_label": int(c), "domain_label": DOMAIN_NAMES[d]}
+            for t, c, d in zip(ids, classes, domains)]
 
 
-def parse_trial_entry(row) -> tuple[int, int, DomainLabel]:
-    """(trial_id, class_label, domain) of a trial_entry read back from a file;
-    ValueError, KeyError or TypeError when a field is missing or ill-typed."""
-    trial_id, class_label = row["trial_id"], row["class_label"]
-    if not is_int(trial_id) or trial_id < 0:
-        raise ValueError(f"trial_id must be a non-negative integer, got {trial_id!r}")
-    if not is_int(class_label) or class_label not in range(N_CLASSES):
-        raise ValueError(
-            f"trial {trial_id}: class_label must be in 0..{N_CLASSES - 1}, got {class_label!r}"
-        )
-    return trial_id, class_label, DomainLabel(row["domain_label"])
+def parse_trial_entries(rows):
+    """(trial_ids, class_labels, domain_labels) of trial_entries read back
+    from a file; ValueError, KeyError or TypeError when an entry is missing,
+    ill-typed or fails _check_labels."""
+    if not isinstance(rows, list):
+        raise ValueError(f"trials must be a list, got {rows!r}")
+    domains = [row["domain_label"] for row in rows]
+    for name in domains:
+        if name not in DOMAIN_NAMES:
+            raise ValueError(f"domain_label must be one of {DOMAIN_NAMES}, got {name!r}")
+    return _check_labels([row["trial_id"] for row in rows], [row["class_label"] for row in rows],
+                        [DOMAIN_NAMES.index(name) for name in domains])
 
 
 def save_dataset(dataset: Dataset, path, config_hash: str | None = None) -> None:
@@ -164,22 +158,18 @@ def save_dataset(dataset: Dataset, path, config_hash: str | None = None) -> None
     """
     manifest_path = Path(path)
     blob_path = manifest_path.with_suffix(".bin")
-    write_atomic(blob_path, (np.ascontiguousarray(t.samples, dtype="<f4") for t in dataset.trials))
+    write_atomic(blob_path, [np.ascontiguousarray(dataset.samples, dtype="<f4")])
     nbytes = 4 * dataset.spec.n_channels * dataset.spec.n_samples
+    entries = trial_entries(dataset.trial_ids, dataset.class_labels, dataset.domain_labels)
     manifest = {
         "format": MANIFEST_FORMAT,
         "config_hash": config_hash,
         "spec": dataset.spec.to_dict(),
         "channel_names": list(dataset.channel_names),
         "trials": [
-            {
-                **trial_entry(t.trial_id, t.class_label,
-                              t.domain_label is DomainLabel.MISARTICULATED),
-                "blob_file": blob_path.name,
-                "byte_offset": i * nbytes,
-                "byte_length": nbytes,
-            }
-            for i, t in enumerate(dataset.trials)
+            {**entry, "blob_file": blob_path.name, "byte_offset": i * nbytes,
+             "byte_length": nbytes}
+            for i, entry in enumerate(entries)
         ],
     }
     write_text(manifest_path, json.dumps(manifest, indent=1) + "\n")
@@ -188,32 +178,36 @@ def save_dataset(dataset: Dataset, path, config_hash: str | None = None) -> None
 def load_dataset(path) -> Dataset:
     """Read a manifest written by save_dataset and validate every trial.
 
-    Raises MissingFile, MalformedManifest, DimensionMismatch or
-    NonFiniteSample; the latter two name the offending trial_id.
+    The entries must give save_dataset's layout: one blob file, trial i at
+    byte i * channels * samples * 4. The blob is viewed as the samples
+    without a copy. Raises MissingFile, MalformedManifest, DimensionMismatch
+    or NonFiniteSample; the latter two name the offending trial_id.
     """
     manifest_path = Path(path)
     manifest, _ = read_header(manifest_path, MANIFEST_FORMAT, "manifest", blob=False)
-    blobs: dict[str, memoryview] = {}
-    trials = []
     with header_fields(manifest_path):
         spec = AcquisitionSpec.from_dict(manifest["spec"])
         shape = (spec.n_channels, spec.n_samples)
         nbytes = 4 * spec.n_channels * spec.n_samples
-        for row in manifest["trials"]:
-            trial_id, class_label, domain = parse_trial_entry(row)
-            blob_file, offset, length = row["blob_file"], row["byte_offset"], row["byte_length"]
-            if blob_file not in blobs:
-                blob_path = manifest_path.parent / blob_file
-                if not blob_path.is_file():
-                    raise MissingFile(f"no blob file at {blob_path}")
-                blobs[blob_file] = memoryview(blob_path.read_bytes())
-            raw = blobs[blob_file][offset : offset + length]
-            if not is_int(offset) or offset < 0 or len(raw) != length or length != nbytes:
-                raise DimensionMismatch(trial_id, shape, (length // 4,))
-            # Dataset checks each trial's finiteness and names the trial
-            samples = np.frombuffer(raw, dtype="<f4").reshape(shape)
-            trials.append(TrialRecord(trial_id, class_label, domain, samples))
-        return Dataset(spec, manifest["channel_names"], tuple(trials))
+        rows = manifest["trials"]
+        trial_ids, class_labels, domain_labels = parse_trial_entries(rows)
+        blob_file = rows[0]["blob_file"] if rows else manifest_path.with_suffix(".bin").name
+        for i, row in enumerate(rows):
+            span = (row["blob_file"], row["byte_offset"], row["byte_length"])
+            if span != (blob_file, i * nbytes, nbytes) or not all(map(is_int, span[1:])):
+                raise DimensionMismatch(int(trial_ids[i]), (blob_file, i * nbytes, nbytes), span,
+                                        what="(blob_file, byte_offset, byte_length)")
+        blob_path = manifest_path.parent / blob_file
+        if not blob_path.is_file():
+            raise MissingFile(f"no blob file at {blob_path}")
+        blob = blob_path.read_bytes()
+        if len(blob) < len(rows) * nbytes:
+            i = len(blob) // nbytes
+            raise DimensionMismatch(int(trial_ids[i]), f"{i * nbytes}..{(i + 1) * nbytes}",
+                                    f"a {len(blob)}-byte file", what=f"bytes of {blob_file}")
+        samples = np.frombuffer(blob, dtype="<f4", count=len(rows) * nbytes // 4)
+        return Dataset(spec, manifest["channel_names"], samples.reshape(len(rows), *shape),
+                       trial_ids, class_labels, domain_labels)
 
 
 @dataclass(frozen=True)
@@ -250,8 +244,7 @@ def stratified_split_indices(
     for cls, dom in cells:
         members = np.flatnonzero((class_labels == cls) & (domain_labels == dom))
         if len(members) < 2:
-            domain = DomainLabel.MISARTICULATED if dom else DomainLabel.CORRECT
-            raise CellTooSmall(cls, domain, len(members))
+            raise CellTooSmall(cls, DOMAIN_NAMES[dom], len(members))
         n_test = int(np.floor(len(members) * test_fraction + 0.5))
         n_test = min(max(n_test, 1), len(members) - 1)
         perm = rng.permutation(len(members))

@@ -20,11 +20,9 @@ class MalformedManifest(PipelineError):
 
 
 class DimensionMismatch(PipelineError):
-    def __init__(self, trial_id, expected, actual):
+    def __init__(self, trial_id, expected, actual, what="samples of shape"):
         self.trial_id = trial_id
-        super().__init__(
-            f"trial {trial_id}: expected samples of shape {expected}, got {actual}"
-        )
+        super().__init__(f"trial {trial_id}: expected {what} {expected}, got {actual}")
 
 
 class NonFiniteSample(PipelineError):
@@ -42,7 +40,7 @@ class CellTooSmall(PipelineError):
         self.class_label = class_label
         self.domain_label = domain_label
         super().__init__(
-            f"cell (class={class_label}, domain={domain_label.value}) has "
+            f"cell (class={class_label}, domain={domain_label}) has "
             f"{count} trial(s); need at least 2 to split"
         )
 

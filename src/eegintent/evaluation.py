@@ -22,10 +22,9 @@ def predict(params: ModelParams, features) -> np.ndarray | int:
 
 
 def confusion_matrix(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
-    m = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(np.asarray(y_true), np.asarray(y_pred)):
-        m[t, p] += 1
-    return m
+    """Counts of (true, predicted) class pairs, true classes as rows."""
+    pairs = n_classes * np.asarray(y_true, dtype=np.int64) + np.asarray(y_pred, dtype=np.int64)
+    return np.bincount(pairs, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
 def macro_f1(y_true, y_pred, n_classes: int = N_CLASSES) -> tuple[float, tuple[int, ...]]:
@@ -33,19 +32,14 @@ def macro_f1(y_true, y_pred, n_classes: int = N_CLASSES) -> tuple[float, tuple[i
 
     Absent classes contribute F1 = 0 to the average.
     """
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    missing = []
-    scores = []
-    for c in range(n_classes):
-        tp = int(np.sum((y_true == c) & (y_pred == c)))
-        fp = int(np.sum((y_true != c) & (y_pred == c)))
-        fn = int(np.sum((y_true == c) & (y_pred != c)))
-        if tp + fn == 0:
-            missing.append(c)
-        denom = 2 * tp + fp + fn
-        scores.append(2.0 * tp / denom if denom else 0.0)
-    return 100.0 * float(np.mean(scores)), tuple(missing)
+    m = confusion_matrix(y_true, y_pred, n_classes)
+    tp = np.diag(m)
+    fp = m.sum(axis=0) - tp
+    fn = m.sum(axis=1) - tp
+    # a class with no true and no predicted trial has tp = 0: F1 = 0
+    scores = 2.0 * tp / np.maximum(2 * tp + fp + fn, 1)
+    missing = np.flatnonzero(m.sum(axis=1) == 0)
+    return 100.0 * float(np.mean(scores)), tuple(missing.tolist())
 
 
 @dataclass(frozen=True)

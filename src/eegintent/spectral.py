@@ -24,7 +24,7 @@ from .codec import (
     unpack_floats,
     write_header_file,
 )
-from .data import Dataset, DomainLabel, parse_trial_entry, trial_entry
+from .data import Dataset, parse_trial_entries, trial_entries
 from .errors import EmptyBand, NonPowerOfTwoLength, SignalTooShort
 
 PSD_FLOOR = 1e-12  # microvolt^2/Hz, applied before log10
@@ -284,40 +284,38 @@ def extract_feature_set(
     the trials around it.
     """
     spec = dataset.spec
-    n_trials = len(dataset.trials)
-    if n_trials == 0:
+    if len(dataset) == 0:
         raise ValueError("dataset has no trials")
     seg = config.segment_length
     bins = np.arange(seg // 2 + 1)
     freqs = bins * (spec.sample_rate_hz / seg)
     keep = bins[(freqs >= spec.band_low_hz) & (freqs <= spec.band_high_hz)]
+    if len(keep) == 0:
+        raise EmptyBand(f"no {seg}-sample Welch bin inside "
+                        f"[{spec.band_low_hz}, {spec.band_high_hz}] Hz")
     basis = _kept_bin_basis(seg, tuple(keep.tolist()))
-    values = np.empty((n_trials, spec.n_channels, len(keep)))
-    for i, trial in enumerate(dataset.trials):
-        segments = _detrended_segments(trial.samples.astype(np.float64), config)
+    values = np.empty((len(dataset), spec.n_channels, len(keep)))
+    for i, trial in enumerate(dataset.samples):
+        segments = _detrended_segments(trial.astype(np.float64), config)
         n_channels, n_segments = segments.shape[:2]
         parts = (segments.reshape(-1, seg) @ basis) ** 2
         power = parts[:, : len(keep)] + parts[:, len(keep) :]
         power = power.reshape(n_channels, n_segments, -1).sum(axis=1)
         psd = _one_sided_density(power, keep, seg, n_segments, spec.sample_rate_hz)
         values[i] = np.log10(np.maximum(psd, PSD_FLOOR))
-    return FeatureSet(
-        values,
-        freqs[keep],
-        spec.sample_rate_hz,
-        dataset.channel_names,
-        np.array([t.trial_id for t in dataset.trials], dtype=np.int64),
-        dataset.class_labels(),
-        dataset.domain_labels(),
-        config_hash,
-    )
+    return FeatureSet(values, freqs[keep], spec.sample_rate_hz, dataset.channel_names,
+                      dataset.trial_ids, dataset.class_labels, dataset.domain_labels, config_hash)
 
 
 def band_powers_from_features(
     values: np.ndarray, bin_freqs, bands: BandTable
 ) -> np.ndarray:
-    """Linear band power [.. x channels x n_bands] from log10 PSD features."""
+    """Linear band power [.. x channels x n_bands] from log10 PSD features;
+    EmptyBand when there are fewer than two bins to give the bin width or a
+    band holds none."""
     bin_freqs = np.asarray(bin_freqs)
+    if len(bin_freqs) < 2:
+        raise EmptyBand(f"need at least two feature bins for the bin width, got {len(bin_freqs)}")
     df = bin_freqs[1] - bin_freqs[0]
     psd = 10.0 ** np.asarray(values)
     out = []
@@ -345,12 +343,8 @@ def write_features(features: FeatureSet, path) -> None:
         "sample_rate_hz": features.sample_rate_hz,
         "bin_freqs_hz": [float(f) for f in features.bin_freqs_hz],
         "channel_names": list(features.channel_names),
-        "trials": [
-            trial_entry(t, c, d)
-            for t, c, d in zip(
-                features.trial_ids, features.class_labels, features.domain_labels
-            )
-        ],
+        "trials": trial_entries(features.trial_ids, features.class_labels,
+                                features.domain_labels),
     }
     write_header_file(path, header, [features.values])
 
@@ -368,17 +362,9 @@ def read_features(path) -> FeatureSet:
             raise ValueError(f"bin_freqs_hz must be {shape[2]} finite frequencies")
         if not isinstance(channel_names, list) or len(channel_names) != shape[1]:
             raise ValueError(f"channel_names must list {shape[1]} channels")
-        trials = [parse_trial_entry(row) for row in header["trials"]]
-        if len(trials) != shape[0]:
-            raise ValueError(f"{len(trials)} trial entries for {shape[0]} trials")
+        trial_ids, class_labels, domain_labels = parse_trial_entries(header["trials"])
+        if len(trial_ids) != shape[0]:
+            raise ValueError(f"{len(trial_ids)} trial entries for {shape[0]} trials")
         sample_rate = float(header["sample_rate_hz"])
-    return FeatureSet(
-        values.astype(np.float64),
-        bin_freqs,
-        sample_rate,
-        tuple(channel_names),
-        np.array([t[0] for t in trials], dtype=np.int64),
-        np.array([t[1] for t in trials], dtype=np.int64),
-        np.array([int(t[2] is DomainLabel.MISARTICULATED) for t in trials], dtype=np.int64),
-        header.get("config_hash"),
-    )
+    return FeatureSet(values.astype(np.float64), bin_freqs, sample_rate, tuple(channel_names),
+                      trial_ids, class_labels, domain_labels, header.get("config_hash"))

@@ -6,6 +6,9 @@ trials scale the delta/alpha components up at frontal-central channels and
 the gamma component down at temporal channels, so the generator is its own
 ground truth for the statistics and decoding stages.
 
+generate_trial returns one trial's samples; generate_dataset stacks them as
+float32 into a Dataset with its label vectors.
+
 Determinism contract: every trial draws from its own generator seeded with
 seed XOR splitmix64(trial_id), and the domain label only multiplies
 amplitudes after all random draws, so trials can be generated in any order
@@ -20,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codec import Schema
-from .data import AcquisitionSpec, Dataset, DomainLabel, TrialRecord
+from .data import AcquisitionSpec, Dataset
 from .montage import Montage, Region, default_montage
 from .spectral import BandTable
 
@@ -84,6 +87,8 @@ class SynthConfig(Schema):
             raise ValueError("gamma_gain_mis must be in (0, 1]")
         if not 0.0 <= self.amp_jitter < 1.0:
             raise ValueError("amp_jitter must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
 
     def validate_against(self, spec: AcquisitionSpec, bands: BandTable | None = None) -> None:
         """Class signatures must sit inside the pass band and, given the run's
@@ -168,18 +173,13 @@ def _sin_cos_basis(freqs: tuple[float, ...], n_samples: int, sample_rate_hz: flo
     return basis
 
 
-def generate_trial(
-    class_label: int,
-    domain_label: DomainLabel,
-    config: SynthConfig,
-    montage: Montage,
-    rng: np.random.Generator,
-    spec: AcquisitionSpec,
-    trial_id: int = 0,
-) -> TrialRecord:
-    """One synthetic trial; all randomness comes from `rng`.
+def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
+                   montage: Montage, rng: np.random.Generator,
+                   spec: AcquisitionSpec) -> np.ndarray:
+    """One synthetic trial's float64 [channels x samples] array in
+    microvolts; all randomness comes from `rng`.
 
-    The draw sequence does not depend on domain_label: gains only scale
+    The draw sequence does not depend on `misarticulated`: gains only scale
     already-drawn components, so regenerating with the other label keeps the
     shared noise and phases bit-identical.
     """
@@ -189,7 +189,7 @@ def generate_trial(
 
     samples = pink_noise(n_ch, n, rng) * config.pink_noise_scale
 
-    mis = domain_label is DomainLabel.MISARTICULATED
+    mis = bool(misarticulated)
     # (freqs, base amplitude, per-channel gain vector) for every component group
     groups = [
         (config.class_signature_freqs_hz[class_label], config.class_signature_amp,
@@ -220,8 +220,7 @@ def generate_trial(
     sin_t, cos_t = _sin_cos_basis(tuple(freqs), n, spec.sample_rate_hz)
     # sin(2 pi f t + phi) = cos(phi) sin(2 pi f t) + sin(phi) cos(2 pi f t)
     samples += (amp * np.cos(phase)) @ sin_t + (amp * np.sin(phase)) @ cos_t
-
-    return TrialRecord(trial_id, class_label, domain_label, samples)
+    return samples
 
 
 def generate_dataset(config: SynthConfig) -> Dataset:
@@ -237,15 +236,11 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     spec = AcquisitionSpec()
     config.validate_against(spec)
     names = montage.channel_names[: spec.n_channels]
-    trials = []
-    for tid in range(4 * config.n_trials_per_class):
-        rng = np.random.default_rng(trial_seed(config.seed, tid))
-        domain = (
-            DomainLabel.MISARTICULATED
-            if rng.random() < config.misarticulation_rate
-            else DomainLabel.CORRECT
-        )
-        trials.append(
-            generate_trial(tid % 4, domain, config, montage, rng, spec, trial_id=tid)
-        )
-    return Dataset(spec, names, tuple(trials))
+    trial_ids = np.arange(4 * config.n_trials_per_class)
+    samples = np.empty((len(trial_ids), spec.n_channels, spec.n_samples), dtype=np.float32)
+    domains = np.empty(len(trial_ids), dtype=np.int64)
+    for tid in trial_ids:
+        rng = np.random.default_rng(trial_seed(config.seed, int(tid)))
+        domains[tid] = rng.random() < config.misarticulation_rate
+        samples[tid] = generate_trial(tid % 4, domains[tid], config, montage, rng, spec)
+    return Dataset(spec, names, samples, trial_ids, trial_ids % 4, domains)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,8 @@ class TestExitCodes:
             (["train", "--seed", "-1", "--features", "none.bin"], "model.seed"),
             (["stats", "--alpha", "0", "--features", "none.bin"], "stats.alpha"),
             (["report", "--seeds", "0"], "report.seeds"),
+            (["synth", "--seed", "-1"], "synth.seed"),
+            (["report", "--seed", "-1"], "synth.seed"),
         ],
     )
     def test_bad_flag_value_names_key_before_reading(self, tmp_path, capsys, argv, key):
@@ -279,6 +282,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{argv[0]}: ValueError: {key} " in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("band, stage", [((10.0, 10.5), "features"), ((10.0, 11.0), "stats")])
+    def test_band_without_two_bins_named(self, tmp_path, tiny_features, capsys, band, stage):
+        # 512-sample Welch bins sit 0.98 Hz apart: none in [10, 10.5], one in [10, 11]
+        manifest = json.loads((tiny_features.parent / "dataset.json").read_text())
+        manifest["spec"]["band_low_hz"], manifest["spec"]["band_high_hz"] = band
+        (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+        shutil.copy(tiny_features.parent / "dataset.bin", tmp_path)
+        features = tmp_path / "features.bin"
+        code = run("features", "--dataset", str(tmp_path / "dataset.json"),
+                   "--out", str(features))
+        if stage == "stats":
+            assert code == 0
+            code = run("stats", "--features", str(features), "--out", str(tmp_path / "stats"))
+        assert code == 1
+        assert f"{stage}: EmptyBand" in capsys.readouterr().err
 
     def test_cell_too_small_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

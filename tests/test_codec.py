@@ -17,8 +17,6 @@ from eegintent.codec import write_atomic
 from eegintent.data import (
     AcquisitionSpec,
     Dataset,
-    DomainLabel,
-    TrialRecord,
     load_dataset,
     save_dataset,
 )
@@ -56,11 +54,10 @@ def pinned_files(out: Path) -> dict:
     spec = AcquisitionSpec(sample_rate_hz=32.0, n_channels=3, trial_seconds=1.0,
                            band_low_hz=1.0, band_high_hz=8.0)
     names = default_montage().channel_names[:3]
-    trials = tuple(
-        TrialRecord(i, i % 4, DomainLabel.MISARTICULATED if i % 2 else DomainLabel.CORRECT,
-                    (np.arange(3 * 32).reshape(3, 32) - 40.0 * i) / 8.0)
-        for i in range(3))
-    save_dataset(Dataset(spec, names, trials), out / "set.json", config_hash="ab" * 32)
+    ids = np.arange(3)
+    samples = (np.arange(3 * 32).reshape(3, 32) - 40.0 * ids[:, None, None]) / 8.0
+    save_dataset(Dataset(spec, names, samples, ids, ids % 4, ids % 2), out / "set.json",
+                 config_hash="ab" * 32)
     values = np.arange(3 * 3 * 4, dtype=np.float64).reshape(3, 3, 4) / 16.0 - 1.0
     features = FeatureSet(values, np.array(FREQS), 32.0, names, np.array([0, 1, 2]),
                           np.array([0, 1, 2]), np.array([0, 1, 0]), "cd" * 32)
@@ -186,6 +183,16 @@ def test_bad_feature_file_named(files, capsys, defect):
     assert run("stats", "--features", files["features.bin"], "--out", out) == 1
     err = capsys.readouterr().err
     assert "stats: MalformedManifest" in err and "features.bin" in err
+
+
+@pytest.mark.parametrize("field, value", [("trial_id", True), ("domain_label", "slurred"),
+                                          ("trial_id", 1)])  # trial 1 has id 1 already
+def test_bad_trial_entry_named(files, field, value):
+    header, blob = header_and_blob(files["features.bin"])
+    header["trials"][0][field] = value
+    rewrite(files["features.bin"], header, blob)
+    with pytest.raises(MalformedManifest, match=f"features.bin: .*{field}"):
+        read_features(files["features.bin"])
 
 
 def corrupt_model(path: Path, defect: str) -> None:

@@ -6,8 +6,6 @@ import pytest
 from eegintent.data import (
     AcquisitionSpec,
     Dataset,
-    DomainLabel,
-    TrialRecord,
     load_dataset,
     save_dataset,
     stratified_split_indices,
@@ -37,16 +35,15 @@ def make_dataset(n_trials=8, n_channels=4, n_samples=32, seed=0):
     spec = tiny_spec(n_channels, n_samples)
     rng = np.random.default_rng(seed)
     names = default_montage().channel_names[:n_channels]
-    trials = [
-        TrialRecord(
-            i,
-            i % 4,
-            DomainLabel.MISARTICULATED if i % 2 else DomainLabel.CORRECT,
-            rng.normal(size=(n_channels, n_samples)),
-        )
-        for i in range(n_trials)
-    ]
-    return Dataset(spec, names, tuple(trials))
+    ids = np.arange(n_trials)
+    return Dataset(spec, names, rng.normal(size=(n_trials, n_channels, n_samples)),
+                   ids, ids % 4, ids % 2)
+
+
+def one_trial(ds, samples, trial_id=0, class_label=0, domain_label=0):
+    """A one-trial dataset of `ds`'s spec and channels."""
+    return Dataset(ds.spec, ds.channel_names, samples[None], [trial_id], [class_label],
+                   [domain_label])
 
 
 class TestAcquisitionSpec:
@@ -63,36 +60,35 @@ class TestAcquisitionSpec:
 class TestValidation:
     def test_class_label_range(self):
         with pytest.raises(ValueError):
-            TrialRecord(0, 4, DomainLabel.CORRECT, np.zeros((4, 32)))
+            one_trial(make_dataset(1), np.zeros((4, 32)), class_label=4)
 
     def test_samples_stored_as_float32(self):
-        t = TrialRecord(0, 0, DomainLabel.CORRECT, np.zeros((4, 32)))
-        assert t.samples.dtype == np.float32
-        assert not t.samples.flags.writeable
+        ds = one_trial(make_dataset(1), np.zeros((4, 32)))
+        assert ds.samples.dtype == np.float32
+        assert not ds.samples.flags.writeable
 
     def test_duplicate_trial_ids(self):
         ds = make_dataset(2)
         with pytest.raises(ValueError, match="duplicate"):
-            Dataset(ds.spec, ds.channel_names, (ds.trials[0], ds.trials[0]))
+            Dataset(ds.spec, ds.channel_names, ds.samples, [0, 0], [0, 0], [0, 0])
 
     def test_dimension_mismatch(self):
         ds = make_dataset(1)
-        bad = TrialRecord(5, 0, DomainLabel.CORRECT, np.zeros((3, 32)))
         with pytest.raises(DimensionMismatch, match="trial 5"):
-            Dataset(ds.spec, ds.channel_names, (bad,))
+            one_trial(ds, np.zeros((3, 32)), trial_id=5)
 
     def test_non_finite_sample(self):
         ds = make_dataset(1)
         samples = np.zeros((4, 32))
         samples[2, 7] = np.nan
-        bad = TrialRecord(3, 0, DomainLabel.CORRECT, samples)
         with pytest.raises(NonFiniteSample, match="trial 3"):
-            Dataset(ds.spec, ds.channel_names, (bad,))
+            one_trial(ds, samples, trial_id=3)
 
     def test_unknown_channel_name(self):
         ds = make_dataset(1)
         with pytest.raises(ValueError, match="montage"):
-            Dataset(ds.spec, ("Fp1", "Fp2", "XX", "F7"), ds.trials)
+            Dataset(ds.spec, ("Fp1", "Fp2", "XX", "F7"), ds.samples, ds.trial_ids,
+                    ds.class_labels, ds.domain_labels)
 
 
 class TestRoundTrip:
@@ -104,11 +100,10 @@ class TestRoundTrip:
         assert loaded.spec == ds.spec
         assert loaded.channel_names == ds.channel_names
         assert len(loaded) == len(ds)
-        for a, b in zip(ds.trials, loaded.trials):
-            assert a.trial_id == b.trial_id
-            assert a.class_label == b.class_label
-            assert a.domain_label == b.domain_label
-            assert a.samples.tobytes() == b.samples.tobytes()
+        for name in ("trial_ids", "class_labels", "domain_labels"):
+            assert getattr(loaded, name).dtype == np.int64
+            assert np.array_equal(getattr(loaded, name), getattr(ds, name))
+        assert loaded.samples.tobytes() == ds.samples.tobytes()
 
     def test_second_save_identical_bytes(self, tmp_path):
         ds = make_dataset(5)
@@ -119,7 +114,8 @@ class TestRoundTrip:
         assert a == b
 
     def test_empty_dataset(self, tmp_path):
-        ds = Dataset(tiny_spec(), default_montage().channel_names[:4], ())
+        ds = Dataset(tiny_spec(), default_montage().channel_names[:4], np.zeros((0, 4, 32)),
+                     [], [], [])
         path = tmp_path / "empty.json"
         save_dataset(ds, path)
         manifest = json.loads(path.read_text())
@@ -165,6 +161,28 @@ class TestLoadErrors:
         # manifest declares 4x32 samples; shrink trial 1's blob span
         manifest["trials"][1]["byte_length"] -= 4 * 32
         path.write_text(json.dumps(manifest))
+        with pytest.raises(DimensionMismatch, match="trial 1"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key, value", [("byte_offset", 0), ("blob_file", "other.bin")])
+    def test_moved_blob_span_names_trial(self, tmp_path, key, value):
+        # save_dataset's layout is required: one blob file, trial i at i * trial bytes
+        ds = make_dataset(3)
+        path = tmp_path / "set.json"
+        save_dataset(ds, path)
+        (tmp_path / "other.bin").write_bytes((tmp_path / "set.bin").read_bytes())
+        manifest = json.loads(path.read_text())
+        manifest["trials"][2][key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DimensionMismatch, match=f"trial 2: .*{key}"):
+            load_dataset(path)
+
+    def test_truncated_blob_names_trial(self, tmp_path):
+        ds = make_dataset(3)
+        path = tmp_path / "set.json"
+        save_dataset(ds, path)
+        blob_path = tmp_path / "set.bin"
+        blob_path.write_bytes(blob_path.read_bytes()[: 4 * 4 * 32 + 10])
         with pytest.raises(DimensionMismatch, match="trial 1"):
             load_dataset(path)
 
@@ -219,11 +237,10 @@ class TestStratifiedSplit:
     def test_dataset_level_split(self):
         ds = make_dataset(16)
         train_idx, test_idx = stratified_split_indices(
-            ds.class_labels(), ds.domain_labels(), 0.25, seed=1)
-        train, test = ds.subset(train_idx), ds.subset(test_idx)
+            ds.class_labels, ds.domain_labels, 0.25, seed=1)
+        train, test = ds.trial_ids[train_idx], ds.trial_ids[test_idx]
         assert len(train) + len(test) == len(ds)
-        ids = {t.trial_id for t in train.trials} | {t.trial_id for t in test.trials}
-        assert ids == {t.trial_id for t in ds.trials}
+        assert sorted(np.concatenate([train, test]).tolist()) == ds.trial_ids.tolist()
 
     def test_fraction_out_of_range(self):
         classes, domains = self.balanced_labels(per_cell=3)

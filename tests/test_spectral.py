@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegintent.data import AcquisitionSpec, Dataset, DomainLabel, TrialRecord
+from eegintent.data import AcquisitionSpec, Dataset
 from eegintent.errors import EmptyBand, NonPowerOfTwoLength, SignalTooShort
 from eegintent.montage import default_montage
 from eegintent.spectral import (
@@ -176,12 +176,11 @@ class TestBandTable:
             BandTable.from_dict({"b": [4, 8], "a": [1, 5]})
 
 
-def make_trial(samples, trial_id=0):
-    return TrialRecord(trial_id, 0, DomainLabel.CORRECT, samples)
-
-
 def dataset_of(trials, spec):
-    return Dataset(spec, default_montage().channel_names[: spec.n_channels], tuple(trials))
+    """A dataset of the [channels x samples] arrays `trials`, ids 0..n-1."""
+    ids = np.arange(len(trials))
+    return Dataset(spec, default_montage().channel_names[: spec.n_channels], np.stack(trials),
+                   ids, ids % 4, ids % 2)
 
 
 def extract_features(trial, config, spec):
@@ -193,8 +192,7 @@ def extract_features(trial, config, spec):
 def synth_trials(n_channels, n_trials_per_class=1, offset=0.0):
     """Synthetic trials cut to their first channels and shifted by `offset` uV."""
     dataset = generate_dataset(SynthConfig(n_trials_per_class=n_trials_per_class, seed=7))
-    return [TrialRecord(t.trial_id, t.class_label, t.domain_label,
-                        t.samples[:n_channels] + offset) for t in dataset.trials]
+    return list(dataset.samples[:, :n_channels] + offset)
 
 
 class TestExtractFeatures:
@@ -203,21 +201,21 @@ class TestExtractFeatures:
     def test_bin_count_matches_enumeration(self):
         # oracle: enumerate bin centers k * fs/nfft inside [1, 50]
         expected = [k for k in range(257) if 1.0 <= k * FS / 512 <= 50.0]
-        trial = make_trial(np.random.default_rng(0).normal(size=(64, 1500)))
+        trial = np.random.default_rng(0).normal(size=(64, 1500))
         feats = extract_features(trial, WelchConfig(), self.spec)
         assert feats.values.shape == (64, len(expected))
         assert np.allclose(feats.bin_freqs_hz, np.array(expected) * FS / 512)
         assert len(expected) == 50 and expected[0] == 2 and expected[-1] == 51
 
     def test_dc_signal_hits_floor(self):
-        trial = make_trial(np.full((64, 1500), 3.25))
+        trial = np.full((64, 1500), 3.25)
         feats = extract_features(trial, WelchConfig(), self.spec)
         assert np.all(feats.values == np.log10(1e-12))
 
     def test_deterministic(self):
         samples = np.random.default_rng(4).normal(size=(64, 1500))
-        a = extract_features(make_trial(samples), WelchConfig(), self.spec)
-        b = extract_features(make_trial(samples), WelchConfig(), self.spec)
+        a = extract_features(samples, WelchConfig(), self.spec)
+        b = extract_features(samples, WelchConfig(), self.spec)
         assert np.array_equal(a.values, b.values)
 
     def test_trial_values_independent_of_neighbours(self):
@@ -235,11 +233,11 @@ class TestExtractFeatures:
     def test_matches_welch_psd_row_by_row(self, segment_length, overlap, band, offset):
         spec = AcquisitionSpec(n_channels=4, band_low_hz=band[0], band_high_hz=band[1])
         trials = synth_trials(spec.n_channels, offset=offset)
-        assert trials[0].samples.dtype == np.float32  # as load_dataset returns them
+        assert trials[0].dtype == np.float32  # as load_dataset returns them
         cfg = WelchConfig(segment_length, overlap)
         feats = extract_feature_set(dataset_of(trials, spec), cfg)
         for trial, values in zip(trials, feats.values):
-            for samples, row in zip(trial.samples, values):
+            for samples, row in zip(trial, values):
                 psd, freqs = welch_psd(samples, cfg, FS)
                 keep = (freqs >= band[0]) & (freqs <= band[1])
                 assert np.array_equal(feats.bin_freqs_hz, freqs[keep])
@@ -248,9 +246,8 @@ class TestExtractFeatures:
     def test_band_powers_from_features_match_direct(self):
         rng = np.random.default_rng(9)
         samples = rng.normal(size=(64, 1500))
-        trial = make_trial(samples)
         cfg = WelchConfig()
-        feats = extract_features(trial, cfg, self.spec)
+        feats = extract_features(samples, cfg, self.spec)
         table = BandTable()
         via_features = band_powers_from_features(
             feats.values[None, ...], feats.bin_freqs_hz, table

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from eegintent.data import AcquisitionSpec, DomainLabel
+from eegintent.data import AcquisitionSpec
 from eegintent.montage import Region, default_montage
 from eegintent.spectral import BandTable, WelchConfig, band_power, welch_psd
 from eegintent.synth import (
@@ -66,33 +66,29 @@ def mean_band_power(samples, names, indices, band):
 class TestGenerateTrial:
     def test_misarticulation_raises_frontal_delta_power(self):
         cfg = SynthConfig(seed=5)
-        correct = generate_trial(0, DomainLabel.CORRECT, cfg, MONTAGE,
-                                 np.random.default_rng(42), SPEC)
-        mis = generate_trial(0, DomainLabel.MISARTICULATED, cfg, MONTAGE,
-                             np.random.default_rng(42), SPEC)
+        correct = generate_trial(0, False, cfg, MONTAGE, np.random.default_rng(42), SPEC)
+        mis = generate_trial(0, True, cfg, MONTAGE, np.random.default_rng(42), SPEC)
         idx = frontal_indices(MONTAGE.channel_names)
-        p_correct = mean_band_power(correct.samples, MONTAGE.channel_names, idx, (1, 4))
-        p_mis = mean_band_power(mis.samples, MONTAGE.channel_names, idx, (1, 4))
+        p_correct = mean_band_power(correct, MONTAGE.channel_names, idx, (1, 4))
+        p_mis = mean_band_power(mis, MONTAGE.channel_names, idx, (1, 4))
         assert p_mis > p_correct
 
     def test_null_gains_make_domains_identical(self):
         cfg = SynthConfig(seed=5, delta_gain_mis=1.0, alpha_gain_mis=1.0,
                           gamma_gain_mis=1.0)
-        correct = generate_trial(2, DomainLabel.CORRECT, cfg, MONTAGE,
-                                 np.random.default_rng(7), SPEC)
-        mis = generate_trial(2, DomainLabel.MISARTICULATED, cfg, MONTAGE,
-                             np.random.default_rng(7), SPEC)
-        assert np.array_equal(correct.samples, mis.samples)
+        correct = generate_trial(2, False, cfg, MONTAGE, np.random.default_rng(7), SPEC)
+        mis = generate_trial(2, True, cfg, MONTAGE, np.random.default_rng(7), SPEC)
+        assert np.array_equal(correct, mis)
 
     def test_class_signature_peaks(self):
         cfg = SynthConfig(seed=5, class_signature_amp=0.5)
         rngs = (np.random.default_rng(3), np.random.default_rng(3))
-        trials = [generate_trial(c, DomainLabel.CORRECT, cfg, MONTAGE, r, SPEC)
+        trials = [generate_trial(c, False, cfg, MONTAGE, r, SPEC)
                   for c, r in zip((0, 1), rngs)]
         welch = WelchConfig()
         for class_label, trial in zip((0, 1), trials):
             psd = np.zeros(welch.segment_length // 2 + 1)
-            for ch in trial.samples[:8]:
+            for ch in trial[:8]:
                 p, freqs = welch_psd(ch, welch, SPEC.sample_rate_hz)
                 psd += p
             theta = (freqs >= 4) & (freqs < 8)
@@ -120,7 +116,7 @@ class TestGenerateDataset:
     def test_default_sizing(self):
         ds = generate_dataset(SynthConfig(n_trials_per_class=3, seed=0))
         assert len(ds) == 12
-        labels = ds.class_labels()
+        labels = ds.class_labels
         assert np.bincount(labels, minlength=4).tolist() == [3, 3, 3, 3]
 
     def test_paper_scale_default(self):
@@ -131,9 +127,8 @@ class TestGenerateDataset:
         cfg = SynthConfig(n_trials_per_class=4, seed=77)
         a = generate_dataset(cfg)
         b = generate_dataset(cfg)
-        for ta, tb in zip(a.trials, b.trials):
-            assert ta.domain_label == tb.domain_label
-            assert ta.samples.tobytes() == tb.samples.tobytes()
+        assert np.array_equal(a.domain_labels, b.domain_labels)
+        assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_misarticulation_rate_within_binomial_bound(self):
         # 20 seeds x 40 trials; oracle: exact binomial 99% interval
@@ -141,7 +136,7 @@ class TestGenerateDataset:
         total = 0
         for seed in range(seeds):
             ds = generate_dataset(SynthConfig(n_trials_per_class=n_per, seed=seed))
-            total += int(ds.domain_labels().sum())
+            total += int(ds.domain_labels.sum())
         n = seeds * 4 * n_per
         lo, hi = sps.binom.interval(0.99, n, 0.3)
         assert lo <= total <= hi
@@ -151,12 +146,10 @@ class TestGenerateDataset:
         ds = generate_dataset(cfg)
         # regenerate trial 7 standalone from its sub-seed
         rng = np.random.default_rng(trial_seed(cfg.seed, 7))
-        domain = (DomainLabel.MISARTICULATED
-                  if rng.random() < cfg.misarticulation_rate
-                  else DomainLabel.CORRECT)
-        trial = generate_trial(7 % 4, domain, cfg, MONTAGE, rng, SPEC, trial_id=7)
-        assert trial.domain_label == ds.trials[7].domain_label
-        assert np.array_equal(trial.samples, ds.trials[7].samples)
+        misarticulated = rng.random() < cfg.misarticulation_rate
+        trial = generate_trial(7 % 4, misarticulated, cfg, MONTAGE, rng, SPEC)
+        assert ds.trial_ids[7] == 7 and ds.domain_labels[7] == misarticulated
+        assert np.array_equal(trial.astype(np.float32), ds.samples[7])
 
     def test_config_round_trip(self):
         cfg = SynthConfig(seed=123, class_signature_amp=0.2)
@@ -169,6 +162,8 @@ class TestGenerateDataset:
             SynthConfig(gamma_gain_mis=1.5)
         with pytest.raises(ValueError):
             SynthConfig(delta_gain_mis=0.5)
+        with pytest.raises(ValueError, match="seed"):
+            SynthConfig(seed=-1)
 
 
 class TestHashing:
