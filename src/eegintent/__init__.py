@@ -30,7 +30,6 @@ from .montage import Montage, Region, default_montage
 from .spectral import (
     FeatureSet,
     WelchConfig,
-    band_power,
     extract_feature_set,
     fft,
     ifft,

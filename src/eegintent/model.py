@@ -186,28 +186,29 @@ def init_params(config: ModelConfig) -> ModelParams:
 
 # --- forward / loss ------------------------------------------------------
 
-def _stack_forward(layers: list[Layer], x: np.ndarray, relu_last: bool):
-    acts = [x]
-    pre = []
-    h = x
+def _stack_forward(layers: list[Layer], x, relu_last: bool, z=None):
+    """Output and (activations, pre-activations) cache of a stack on x; z,
+    when given, is the first layer's pre-activation, and x may be None."""
+    acts, pre = [x], []
     for i, layer in enumerate(layers):
-        z = h @ layer.w + layer.b
+        if i > 0 or z is None:
+            z = acts[-1] @ layer.w + layer.b
         pre.append(z)
-        h = np.maximum(z, 0.0) if (relu_last or i < len(layers) - 1) else z
-        acts.append(h)
-    return h, (acts, pre)
+        acts.append(np.maximum(z, 0.0) if (relu_last or i < len(layers) - 1) else z)
+    return acts[-1], (acts, pre)
 
 
 def _stack_backward(layers, cache, d_out, relu_last: bool):
     """Weight gradients and the gradient at the first layer's pre-activation;
-    no input gradient, which for the encoder would be an unused product."""
+    no input gradient, which for the encoder would be an unused product. The
+    first weight gradient is None when the stack ran without its input."""
     acts, pre = cache
     grads = [None] * len(layers)
     d = d_out
     for i in reversed(range(len(layers))):
         if relu_last or i < len(layers) - 1:
             d = d * (pre[i] > 0)
-        grads[i] = Layer(acts[i].T @ d, d.sum(axis=0))
+        grads[i] = Layer(None if acts[i] is None else acts[i].T @ d, d.sum(axis=0))
         if i > 0:
             d = d @ layers[i].w.T
     return grads, d
@@ -227,14 +228,18 @@ def _check_features(params: ModelParams, x: np.ndarray) -> None:
         )
 
 
-def _two_view_pass(params: ModelParams, x: np.ndarray):
-    """One encoder pass for both views, on the rows [x * mask; x], or on x
-    alone when the mask is the identity and the views coincide. Returns the
-    forward() outputs and the backward caches (shared, encoder, heads)."""
-    n = len(x)
-    shared = bool(np.all(params.mask == 1.0))
-    stacked = x if shared else np.vstack([x * params.mask, x])
-    emb, enc_cache = _stack_forward(params.encoder, stacked, relu_last=True)
+def _view_rows(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The encoder's rows [x * mask; x], or x alone when the mask is the
+    identity and the two views coincide."""
+    return x if np.all(mask == 1.0) else np.vstack([x * mask, x])
+
+
+def _two_view_pass(params: ModelParams, rows, n: int, z1=None):
+    """One encoder pass for both views of n trials, on their _view_rows or
+    from z1, the first layer's pre-activation on them. Returns the forward()
+    outputs and the backward caches (shared, encoder, heads)."""
+    emb, enc_cache = _stack_forward(params.encoder, rows, relu_last=True, z=z1)
+    shared = len(emb) == n
     emb_class, emb_domain = emb[:n], emb[len(emb) - n :]
     class_logits, cls_cache = _stack_forward(params.class_head, emb_class, relu_last=False)
     domain_logits, dom_cache = _stack_forward(params.domain_head, emb_domain, relu_last=False)
@@ -252,7 +257,7 @@ def forward(params: ModelParams, x):
     squeeze = x.ndim == 1
     xb = x[None, :] if squeeze else x
     _check_features(params, xb)
-    outputs, _ = _two_view_pass(params, xb)
+    outputs, _ = _two_view_pass(params, _view_rows(params.mask, xb), len(xb))
     if squeeze:
         return tuple(out[0] for out in outputs)
     return outputs
@@ -350,9 +355,17 @@ def _loss_and_grads(params, x, y_class, y_domain, config, want_grads: bool):
     _check_features(params, x)
     y_class = np.asarray(y_class, dtype=np.int64)
     y_domain = np.asarray(y_domain, dtype=np.int64)
-    n = len(x)
+    grads, _, loss = _step(params, _view_rows(params.mask, x), y_class, y_domain,
+                           config, want_grads)
+    return grads, loss
 
-    (class_logits, domain_logits, _, emb_domain), caches = _two_view_pass(params, x)
+
+def _step(params, rows, y_class, y_domain, config, want_grads: bool, z1=None):
+    """(grads, d1, loss) of one batch on its encoder rows, or from z1 (then
+    rows is None and the first encoder weight gradient None); d1 is the
+    gradient at the first encoder layer's pre-activation."""
+    n = len(y_class)
+    (class_logits, domain_logits, _, emb_domain), caches = _two_view_pass(params, rows, n, z1)
     shared, enc_cache, cls_cache, dom_cache = caches
 
     l_class = softmax_cross_entropy(class_logits, y_class)
@@ -376,7 +389,7 @@ def _loss_and_grads(params, x, y_class, y_domain, config, want_grads: bool):
         single_domain,
     )
     if not want_grads:
-        return None, loss
+        return None, None, loss
 
     # class path
     probs = np.exp(_log_softmax(class_logits))
@@ -396,9 +409,8 @@ def _loss_and_grads(params, x, y_class, y_domain, config, want_grads: bool):
 
     # one encoder backward for both views, rows aligned with the forward pass
     d_emb = d_emb_class + d_emb_domain if shared else np.vstack([d_emb_class, d_emb_domain])
-    encoder_grads, _ = _stack_backward(params.encoder, enc_cache, d_emb, relu_last=True)
-    grads = ModelParams(encoder_grads, cls_head_grads, dom_head_grads, params.mask)
-    return grads, loss
+    encoder_grads, d1 = _stack_backward(params.encoder, enc_cache, d_emb, relu_last=True)
+    return ModelParams(encoder_grads, cls_head_grads, dom_head_grads, params.mask), d1, loss
 
 
 def compute_loss(params, x, y_class, y_domain, config: ModelConfig) -> LossBreakdown:
@@ -440,6 +452,7 @@ def train(
     if n == 0:
         raise ValueError("cannot train on an empty set")
     params = init_params(cfg)
+    _check_features(params, x)
     shuffle_rng = np.random.default_rng([cfg.seed, 0x5EED])
     history: list[LossBreakdown] = []
     # divergence surfaces as NonFiniteLoss, not as overflow warning spam
@@ -449,22 +462,38 @@ def train(
 
 
 def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
-    n = len(x)
+    """Plain SGD keeps the first encoder layer at W_0 + R.T @ C for the M
+    _view_rows R of x. While M < input_dim, steps run on P0 = R @ W_0, the
+    Gram matrix R @ R.T and C, and W is formed once at the end; else W is
+    updated densely."""
+    (n, dim), first, lr = x.shape, params.encoder[0], cfg.learning_rate
+    m = n if np.all(params.mask == 1.0) else 2 * n
+    span = m < dim
+    if span:
+        rows = np.empty((m, dim))
+        np.multiply(x, params.mask, out=rows[:n])
+        rows[m - n :] = x
+        p0, gram, coef = rows @ first.w, rows @ rows.T, np.zeros((m, first.w.shape[1]))
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         sums = np.zeros(3)
         any_single = False
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
-            grads, loss = _loss_and_grads(
-                params, x[batch], y_class[batch], y_domain[batch], cfg, True
-            )
+            if span:
+                r = batch if m == n else np.concatenate([batch, batch + n])
+                view, z1 = None, p0[r] + gram[r] @ coef + first.b
+            else:
+                view, z1 = _view_rows(params.mask, x[batch]), None
+            grads, d1, loss = _step(params, view, y_class[batch], y_domain[batch], cfg, True, z1)
             if not np.isfinite(loss.l_total):
                 raise NonFiniteLoss(epoch)
-            lr = cfg.learning_rate
             for layer, grad in zip(params.all_layers(), grads.all_layers()):
-                layer.w -= np.multiply(grad.w, lr, out=grad.w)  # no temporary
+                if grad.w is not None:
+                    layer.w -= np.multiply(grad.w, lr, out=grad.w)  # no temporary
                 layer.b -= np.multiply(grad.b, lr, out=grad.b)
+            if span:
+                coef[r] -= lr * d1
             sums += np.array([loss.l_class, loss.l_domain, loss.l_mmd]) * len(batch)
             any_single = any_single or loss.single_domain
         l_class, l_domain, l_mmd = sums / n  # the batches cover every row once
@@ -477,6 +506,10 @@ def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
                 any_single,
             )
         )
+    if span:  # free P0 and K, then fold R.T @ C into W by blocks: no W-sized temporary
+        del p0, gram
+        for i in range(0, dim, 256):
+            first.w[i : i + 256] += rows[:, i : i + 256].T @ coef
 
 
 # --- model file ----------------------------------------------------------

@@ -448,6 +448,82 @@ class TestReferenceStep:
             assert np.array_equal(a.b, b.b)
 
 
+def assert_close_rel(actual, reference, tol):
+    for a, b in zip(actual.all_layers(), reference.all_layers()):
+        for x, y in ((a.w, b.w), (a.b, b.b)):
+            assert np.linalg.norm(x - y) <= tol * np.linalg.norm(y)
+
+
+def spy_view_rows(monkeypatch):
+    """Count the dense step's view-row builds; the coefficient form makes none."""
+    import eegintent.model as model
+
+    calls = []
+    real = model._view_rows
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "_view_rows", counting)
+    return calls
+
+
+class TestSpanTrain:
+    """train() keeps the first layer in coefficient form while its M view
+    rows (N, or 2N with the mask) are fewer than the input dim, and updates
+    W densely otherwise; both must follow the dense reference."""
+
+    @pytest.mark.parametrize("mode", list(TrainMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(encoder_dims=(8, 5), class_head_dims=(6, 4), domain_head_dims=(3, 2), seed=12),
+            dict(mmd_bandwidth=None),
+            dict(gamma_sup=1.0),
+        ],
+        ids=["toy", "two-hidden", "median-bandwidth", "gamma-one"],
+    )
+    def test_span_train_matches_reference(self, overrides, mode, monkeypatch):
+        cfg = toy_config(n_channels=4, epochs=5, batch_size=4, **overrides)
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(10, 24))  # 2N = 20 rows < 24 inputs
+        yc, yd = rng.integers(0, 4, 10), np.arange(10) % 2
+        calls = spy_view_rows(monkeypatch)
+        params, _ = train(x, yc, yd, cfg, mode)
+        assert not calls
+        ref = reference_train(x, yc, yd, effective_config(cfg, mode))
+        assert_close_rel(params, ref, 1e-9)
+
+    @pytest.mark.parametrize(
+        "mode, n, span",
+        [
+            (TrainMode.MULTITASK, 11, True),   # M = 22 < 24
+            (TrainMode.MULTITASK, 12, False),  # M = 24
+            (TrainMode.BASELINE, 23, True),
+            (TrainMode.BASELINE, 24, False),
+        ],
+    )
+    def test_branch_at_input_dim(self, mode, n, span, monkeypatch):
+        cfg = toy_config(n_channels=4, epochs=3, batch_size=4)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 24))
+        yc, yd = rng.integers(0, 4, n), np.arange(n) % 2
+        calls = spy_view_rows(monkeypatch)
+        params, _ = train(x, yc, yd, cfg, mode)
+        assert (not calls) == span
+        ref = reference_train(x, yc, yd, effective_config(cfg, mode))
+        assert_close_rel(params, ref, 1e-9)
+
+    @pytest.mark.parametrize("shape", [(10, 25), (30, 25), (24,), (10, 12)])
+    def test_wrong_feature_shape_raises_before_training(self, shape):
+        cfg = toy_config(n_channels=4)
+        n = shape[0]
+        with pytest.raises(ShapeMismatch):
+            train(np.zeros(shape), np.zeros(n, dtype=int), np.arange(n) % 2, cfg)
+
+
 class TestTrain:
     def test_zero_learning_rate_keeps_params(self):
         cfg = toy_config(learning_rate=0.0, epochs=3, batch_size=4)

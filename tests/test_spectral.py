@@ -12,7 +12,6 @@ from eegintent.spectral import (
     Band,
     BandTable,
     WelchConfig,
-    band_power,
     band_powers_from_features,
     extract_feature_set,
     fft,
@@ -20,6 +19,7 @@ from eegintent.spectral import (
     welch_psd,
 )
 from eegintent.synth import SynthConfig, generate_dataset
+from oracles import band_power
 
 FS = 500.0
 
