@@ -33,7 +33,6 @@ from .spectral import (
     extract_feature_set,
     fft,
     ifft,
-    welch_psd,
 )
 from .stats import (
     TTestMap,

@@ -195,23 +195,17 @@ def _write_maps(maps, out_dir: Path, chash: str) -> None:
         write_text(out_dir / f"topomap_{tmap.band}.svg", svg)
 
 
-def _band_maps(cfg: dict, features, alpha: float):
+def _band_maps(cfg: dict, features):
     bands = BandTable.from_dict(cfg["bands"])
     powers = band_powers_from_features(features.values, features.bin_freqs_hz, bands)
     correct = features.domain_labels == 0
-    return band_topomaps(
-        powers[correct],
-        powers[~correct],
-        features.channel_names,
-        default_montage(),
-        bands,
-        alpha=alpha,
-    )
+    return band_topomaps(powers[correct], powers[~correct], features.channel_names,
+                         default_montage(), bands, alpha=cfg["stats"]["alpha"])
 
 
 def _cmd_stats(cfg: dict, args) -> int:
     features = read_features(args.features)
-    maps = _band_maps(cfg, features, cfg["stats"]["alpha"])
+    maps = _band_maps(cfg, features)
     out_dir = Path(args.out or cfg["out_dir"])
     _write_maps(maps, out_dir, config_hash(cfg))
     n_sig = sum(int(m.significant.sum()) for m in maps)
@@ -309,7 +303,7 @@ def run_report(cfg: dict, n_seeds: int, out_dir: Path) -> dict:
         dataset = generate_dataset(synth_cfg)
         features = extract_feature_set(dataset, welch, config_hash=chash)
         if i == 0:
-            maps = _band_maps(cfg, features, cfg["stats"]["alpha"])
+            maps = _band_maps(cfg, features)
             _write_maps(maps, out_dir / "topomaps", chash)
         train_set, test_set = _split(cfg, features)
         row: dict = {"seed": synth_cfg.seed}

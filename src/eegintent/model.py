@@ -23,6 +23,7 @@ from .codec import (
     unpack_floats,
     write_header_file,
 )
+from .data import N_CLASSES
 from .errors import DegenerateEmbeddings, EmptyGroup, NonFiniteLoss, ShapeMismatch
 from .spectral import BandTable
 
@@ -71,8 +72,8 @@ class ModelConfig(Schema):
             dims = getattr(self, name)
             if not dims or min(dims) < 1:
                 raise ValueError(f"{name} must be one or more layer widths >= 1, got {dims}")
-        if self.class_head_dims[-1] != 4:
-            raise ValueError("class_head_dims must end with 4 outputs")
+        if self.class_head_dims[-1] != N_CLASSES:
+            raise ValueError(f"class_head_dims must end with {N_CLASSES} outputs")
         if self.domain_head_dims[-1] != 2:
             raise ValueError("domain_head_dims must end with 2 outputs")
         if not 0.0 <= self.gamma_sup <= 1.0:

@@ -1,11 +1,11 @@
-"""FFT, Welch PSD estimation, band powers, and per-trial spectral features.
+"""FFT, Welch PSD features, band powers, and the feature file.
 
-Both PSD paths use periodic Hann windows, per-segment mean removal and
-one-sided density scaling in microvolt^2 per Hz. The feature path is a DFT
-of the kept bins only, one BLAS matmul per trial; welch_psd, the radix-2 FFT
-with a fixed butterfly order over every bin, is its reference. The last bits
-of the float64 feature values may depend on the BLAS build and CPU kernel;
-the float32 feature file is the reproducible artifact.
+The Welch PSD uses periodic Hann windows, per-segment mean removal and
+one-sided density scaling in microvolt^2 per Hz. It is a DFT of the kept bins
+only, one BLAS matmul per trial; the reference it is tested against, one fft
+per segment over every bin, lives in tests/oracles.py. The last bits of the
+float64 feature values may depend on the BLAS build and CPU kernel; the
+float32 feature file is the reproducible artifact.
 """
 
 from __future__ import annotations
@@ -115,46 +115,11 @@ def _hann(n: int) -> np.ndarray:
 def _kept_bin_basis(seg: int, bins: tuple[int, ...]) -> np.ndarray:
     """(seg, 2K) [real | imag] of fft of the Hann-windowed identity at K bins,
     the window times [cos | -sin]: a segment times it is the real and
-    imaginary part of the same windowed DFT welch_psd takes, at those bins."""
+    imaginary part of the Hann-windowed DFT of that segment at those bins."""
     columns = fft(np.diag(_hann(seg)))[:, list(bins)]
     basis = np.hstack([columns.real, columns.imag])
     basis.flags.writeable = False
     return basis
-
-
-def _detrended_segments(signals: np.ndarray, config: WelchConfig) -> np.ndarray:
-    """A new (..., n_segments, seg) array of each row's mean-removed segments."""
-    n, seg = signals.shape[-1], config.segment_length
-    if n < seg:
-        raise SignalTooShort(f"signal length {n} < segment length {seg}")
-    windows = sliding_window_view(signals, seg, axis=-1)[..., :: seg - config.overlap, :]
-    return windows - windows.mean(axis=-1, keepdims=True)
-
-
-def _one_sided_density(power, bins, seg: int, n_segments: int, sample_rate_hz: float):
-    """Segment-summed |X_k|^2 as one-sided density: 1/(fs * sum(w^2)), the
-    mean over segments, and doubling of every bin but DC and Nyquist."""
-    scale = 1.0 / (sample_rate_hz * np.sum(_hann(seg) ** 2)) / n_segments
-    return power * np.where((bins > 0) & (bins < seg // 2), 2.0 * scale, scale)
-
-
-def welch_psd(signal, config: WelchConfig, sample_rate_hz: float):
-    """Welch PSD of a single signal: (psd [nfft/2+1], bin_freqs_hz).
-
-    The FFT reference of the feature path: one fft per Hann-windowed,
-    mean-detrended segment, periodograms averaged with density scaling
-    1/(fs * sum(w^2)) and one-sided doubling.
-    """
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim != 1:
-        raise ValueError(f"expected a 1-D signal, got shape {signal.shape}")
-    seg = config.segment_length
-    segments = _detrended_segments(signal, config)
-    bins = np.arange(seg // 2 + 1)
-    spectrum = fft(segments * _hann(seg))[:, bins]
-    power = (spectrum.real**2 + spectrum.imag**2).sum(axis=0)
-    psd = _one_sided_density(power, bins, seg, len(segments), sample_rate_hz)
-    return psd, bins * (sample_rate_hz / seg)
 
 
 # --- band table ----------------------------------------------------------
@@ -281,16 +246,23 @@ def extract_feature_set(
     if len(keep) == 0:
         raise EmptyBand(f"no {seg}-sample Welch bin inside "
                         f"[{spec.band_low_hz}, {spec.band_high_hz}] Hz")
+    n_samples = dataset.samples.shape[-1]
+    if n_samples < seg:
+        raise SignalTooShort(f"signal length {n_samples} < segment length {seg}")
     basis = _kept_bin_basis(seg, tuple(keep.tolist()))
+    step = seg - config.overlap
+    n_segments = (n_samples - seg) // step + 1
+    # one-sided density over the segment mean: 1/(fs * sum(w^2)), doubled but at DC and Nyquist
+    scale = 1.0 / (spec.sample_rate_hz * np.sum(_hann(seg) ** 2)) / n_segments
+    density = np.where((keep > 0) & (keep < seg // 2), 2.0 * scale, scale)
     values = np.empty((len(dataset), spec.n_channels, len(keep)))
     for i, trial in enumerate(dataset.samples):
-        segments = _detrended_segments(trial.astype(np.float64), config)
-        n_channels, n_segments = segments.shape[:2]
+        windows = sliding_window_view(trial.astype(np.float64), seg, axis=-1)[:, ::step]
+        segments = windows - windows.mean(axis=-1, keepdims=True)  # a copy, mean-removed
         parts = (segments.reshape(-1, seg) @ basis) ** 2
         power = parts[:, : len(keep)] + parts[:, len(keep) :]
-        power = power.reshape(n_channels, n_segments, -1).sum(axis=1)
-        psd = _one_sided_density(power, keep, seg, n_segments, spec.sample_rate_hz)
-        values[i] = np.log10(np.maximum(psd, PSD_FLOOR))
+        power = power.reshape(spec.n_channels, n_segments, -1).sum(axis=1)
+        values[i] = np.log10(np.maximum(power * density, PSD_FLOOR))
     return FeatureSet(values, freqs[keep], spec.sample_rate_hz, dataset.channel_names,
                       dataset.trial_ids, dataset.class_labels, dataset.domain_labels, config_hash)
 

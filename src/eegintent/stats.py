@@ -85,31 +85,38 @@ def student_t_two_sided_p(t: float, df: float) -> float:
 
 @dataclass(frozen=True)
 class TTestResult:
-    t: float
-    df: float
-    p_two_sided: float
+    """Floats for 1-D groups, arrays of the groups' trailing shape otherwise."""
+
+    t: float | np.ndarray
+    df: float | np.ndarray
+    p_two_sided: float | np.ndarray
 
 
 def welch_t_test(a, b) -> TTestResult:
-    """Unequal-variance two-sample t-test with Welch-Satterthwaite df.
+    """Unequal-variance two-sample t-tests with Welch-Satterthwaite df.
 
-    t is mean(a) - mean(b); raises DegenerateSample when both groups have
-    zero variance.
+    a and b are [samples x ...] groups with equal trailing shapes, and every
+    trailing index is one test; t is mean(a) - mean(b). Each test reduces
+    over a contiguous row, in the same order as a 1-D call. Raises
+    DegenerateSample when both groups of any test have zero variance.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise InsufficientTrials(f"need at least 2 samples per group, got {na} and {nb}")
-    va = float(a.var(ddof=1))
-    vb = float(b.var(ddof=1))
-    if va == 0.0 and vb == 0.0:
+    if a.shape[1:] != b.shape[1:]:
+        raise ValueError(f"groups of shapes {a.shape} and {b.shape} differ past the samples axis")
+    a = np.ascontiguousarray(np.moveaxis(a, 0, -1))
+    b = np.ascontiguousarray(np.moveaxis(b, 0, -1))
+    va, vb = a.var(axis=-1, ddof=1), b.var(axis=-1, ddof=1)
+    if ((va == 0.0) & (vb == 0.0)).any():
         raise DegenerateSample("all values identical in both groups")
     sa, sb = va / na, vb / nb
-    se = math.sqrt(sa + sb)
-    t = (float(a.mean()) - float(b.mean())) / se
+    t = (a.mean(axis=-1) - b.mean(axis=-1)) / np.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
-    return TTestResult(t, df, student_t_two_sided_p(t, df))
+    p = np.vectorize(student_t_two_sided_p, otypes=[np.float64])(t, df)
+    return TTestResult(t[()], df[()], p[()])
 
 
 def bh_fdr(p_values, alpha: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
@@ -181,32 +188,16 @@ def band_topomaps(
 
     log_c = np.log10(np.maximum(bp_c, PSD_FLOOR))
     log_m = np.log10(np.maximum(bp_m, PSD_FLOOR))
-    t_vals = np.empty((n_bands, n_channels))
-    p_vals = np.empty((n_bands, n_channels))
-    for bi in range(n_bands):
-        for ci in range(n_channels):
-            res = welch_t_test(log_m[:, ci, bi], log_c[:, ci, bi])
-            t_vals[bi, ci] = res.t
-            p_vals[bi, ci] = res.p_two_sided
-    adjusted, reject = bh_fdr(p_vals.ravel(), alpha)
-    adjusted = adjusted.reshape(n_bands, n_channels)
-    reject = reject.reshape(n_bands, n_channels)
+    res = welch_t_test(log_m.transpose(0, 2, 1), log_c.transpose(0, 2, 1))
+    adjusted, reject = (v.reshape(n_bands, n_channels)
+                        for v in bh_fdr(res.p_two_sided.ravel(), alpha))
 
     positions = [montage.entry(name) for name in channel_names]
     xs = np.array([e.x for e in positions])
     ys = np.array([e.y for e in positions])
     return [
-        TTestMap(
-            band=band.name,
-            alpha=alpha,
-            channels=channel_names,
-            x=xs,
-            y=ys,
-            t=t_vals[bi].copy(),
-            p_raw=p_vals[bi].copy(),
-            p_adjusted=adjusted[bi].copy(),
-            significant=reject[bi].copy(),
-        )
+        TTestMap(band.name, alpha, channel_names, xs, ys, t=res.t[bi], p_raw=res.p_two_sided[bi],
+                 p_adjusted=adjusted[bi], significant=reject[bi])
         for bi, band in enumerate(bands)
     ]
 

@@ -23,7 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .codec import Schema
-from .data import AcquisitionSpec, Dataset
+from .data import N_CLASSES, AcquisitionSpec, Dataset
+from .model import SUPPRESSED_BANDS
 from .montage import Montage, Region, default_montage
 from .spectral import BandTable
 
@@ -79,8 +80,10 @@ class SynthConfig(Schema):
             raise ValueError("misarticulation_rate must be in (0, 1)")
         if self.pink_noise_scale <= 0:
             raise ValueError("pink_noise_scale must be positive")
-        if len(self.class_signature_freqs_hz) != 4:
-            raise ValueError("class_signature_freqs_hz needs one frequency list per class (4)")
+        if len(self.class_signature_freqs_hz) != N_CLASSES:
+            raise ValueError(
+                f"class_signature_freqs_hz needs one frequency list per class ({N_CLASSES})"
+            )
         if self.delta_gain_mis < 1 or self.alpha_gain_mis < 1:
             raise ValueError("delta_gain_mis and alpha_gain_mis must be >= 1")
         if not 0.0 < self.gamma_gain_mis <= 1.0:
@@ -94,7 +97,7 @@ class SynthConfig(Schema):
         """Class signatures must sit inside the pass band and, given the run's
         bands, outside the suppressed delta/alpha/gamma ranges, so class
         evidence survives the class-branch mask."""
-        names = ("delta", "alpha", "gamma") if bands is not None else ()
+        names = SUPPRESSED_BANDS if bands is not None else ()
         suppressed = [bands.get(name) for name in names]
         for class_label, freqs in enumerate(self.class_signature_freqs_hz):
             for f in freqs:
@@ -224,7 +227,7 @@ def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
 
 
 def generate_dataset(config: SynthConfig) -> Dataset:
-    """4 * n_trials_per_class trials of the default acquisition spec and
+    """N_CLASSES * n_trials_per_class trials of the default acquisition spec and
     montage, classes round-robin, domains Bernoulli.
 
     A pure function of the config: per-trial generators are derived from
@@ -236,11 +239,11 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     spec = AcquisitionSpec()
     config.validate_against(spec)
     names = montage.channel_names[: spec.n_channels]
-    trial_ids = np.arange(4 * config.n_trials_per_class)
+    trial_ids = np.arange(N_CLASSES * config.n_trials_per_class)
     samples = np.empty((len(trial_ids), spec.n_channels, spec.n_samples), dtype=np.float32)
     domains = np.empty(len(trial_ids), dtype=np.int64)
     for tid in trial_ids:
         rng = np.random.default_rng(trial_seed(config.seed, int(tid)))
         domains[tid] = rng.random() < config.misarticulation_rate
-        samples[tid] = generate_trial(tid % 4, domains[tid], config, montage, rng, spec)
-    return Dataset(spec, names, samples, trial_ids, trial_ids % 4, domains)
+        samples[tid] = generate_trial(tid % N_CLASSES, domains[tid], config, montage, rng, spec)
+    return Dataset(spec, names, samples, trial_ids, trial_ids % N_CLASSES, domains)

@@ -299,6 +299,17 @@ class TestExitCodes:
         assert code == 1
         assert f"{stage}: EmptyBand" in capsys.readouterr().err
 
+    def test_segment_longer_than_trial_named(self, tmp_path, tiny_features, capsys):
+        # default trials hold 1500 samples
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"welch": {"segment_length": 2048, "overlap": 0}}))
+        features = tmp_path / "features.bin"
+        code = run("features", "--config", str(cfg_path),
+                   "--dataset", str(tiny_features.parent / "dataset.json"), "--out", str(features))
+        assert code == 1
+        assert "features: SignalTooShort" in capsys.readouterr().err
+        assert not features.exists()
+
     def test_cell_too_small_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({

@@ -16,10 +16,9 @@ from eegintent.spectral import (
     extract_feature_set,
     fft,
     ifft,
-    welch_psd,
 )
 from eegintent.synth import SynthConfig, generate_dataset
-from oracles import band_power
+from oracles import band_power, welch_psd
 
 FS = 500.0
 

@@ -79,6 +79,40 @@ class TestWelchTTest:
         with pytest.raises(InsufficientTrials):
             welch_t_test([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_columns_match_one_dimensional_calls(self, order):
+        rng = np.random.default_rng(21)
+        a = np.asarray(rng.normal(size=(9, 12)), order=order)
+        b = np.asarray(rng.normal(0.5, 2.0, size=(14, 12)), order=order)
+        res = welch_t_test(a, b)
+        assert res.t.shape == res.df.shape == res.p_two_sided.shape == (12,)
+        for k in range(12):
+            one = welch_t_test(a[:, k], b[:, k])
+            assert res.t[k] == one.t
+            assert res.df[k] == pytest.approx(one.df, rel=1e-12)
+            assert res.p_two_sided[k] == pytest.approx(one.p_two_sided, rel=1e-12)
+
+    def test_trailing_axes_are_independent_tests(self):
+        rng = np.random.default_rng(22)
+        a = rng.normal(size=(6, 3, 4))
+        b = rng.normal(size=(5, 3, 4))
+        res = welch_t_test(a, b)
+        assert res.t.shape == (3, 4)
+        assert res.t[2, 1] == welch_t_test(a[:, 2, 1], b[:, 2, 1]).t
+
+    def test_degenerate_column(self):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(5, 3))
+        b = rng.normal(size=(4, 3))
+        a[:, 1] = 2.0
+        b[:, 1] = 2.0
+        with pytest.raises(DegenerateSample):
+            welch_t_test(a, b)
+
+    def test_trailing_shapes_must_agree(self):
+        with pytest.raises(ValueError):
+            welch_t_test(np.zeros((4, 3)), np.ones((4, 2)))
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_antisymmetry(self, seed):

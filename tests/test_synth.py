@@ -4,7 +4,7 @@ from scipy import stats as sps
 
 from eegintent.data import AcquisitionSpec
 from eegintent.montage import Region, default_montage
-from eegintent.spectral import BandTable, WelchConfig, welch_psd
+from eegintent.spectral import BandTable, WelchConfig
 from eegintent.synth import (
     SynthConfig,
     generate_dataset,
@@ -13,7 +13,7 @@ from eegintent.synth import (
     splitmix64,
     trial_seed,
 )
-from oracles import band_power
+from oracles import band_power, welch_psd
 
 MONTAGE = default_montage()
 SPEC = AcquisitionSpec()
