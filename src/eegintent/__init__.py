@@ -22,7 +22,6 @@ from .model import (
     compute_loss,
     forward,
     init_params,
-    median_heuristic,
     mmd_rbf,
     train,
 )

@@ -70,12 +70,11 @@ class ReportConfig(Schema):
 
 def _model_defaults() -> dict:
     # ModelConfig's defaults but the fields that the data and the bands section set
-    model = {
+    return {
         f.name: list(f.default) if isinstance(f.default, tuple) else f.default
         for f in fields(ModelConfig)
         if f.default is not MISSING
     }
-    return {**model, "seed": 11}
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,6 @@ class EmptyGroup(PipelineError):
     pass
 
 
-class DegenerateEmbeddings(PipelineError):
-    pass
-
-
 class NonFiniteLoss(PipelineError):
     def __init__(self, epoch):
         self.epoch = epoch

@@ -24,7 +24,7 @@ from .codec import (
     write_header_file,
 )
 from .data import N_CLASSES
-from .errors import DegenerateEmbeddings, EmptyGroup, NonFiniteLoss, ShapeMismatch
+from .errors import EmptyGroup, NonFiniteLoss, ShapeMismatch
 from .spectral import BandTable
 
 MODEL_FORMAT = "eegintent-model-v1"
@@ -58,7 +58,7 @@ class ModelConfig(Schema):
     epochs: int = 300
     batch_size: int = 16
     weight_init_scale: float = 0.3
-    seed: int = 0
+    seed: int = 11
     bands: BandTable = field(default_factory=BandTable)
 
     def __post_init__(self):
@@ -281,41 +281,39 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def _rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(-_sq_dists(a, b) / (2.0 * sigma**2))
+def _mmd(e: np.ndarray, w: np.ndarray, bandwidth: float | None):
+    """(w.T K w, its gradient in e) for the RBF kernel K on the rows of e,
+    from one distance matrix. bandwidth None takes the median heuristic,
+    sigma^2 = median pairwise squared distance / 2; a zero median, as when
+    every row is the same, gives (0.0, None)."""
+    sq = _sq_dists(e, e)
+    if bandwidth is None:
+        med = float(np.median(sq[np.triu_indices(len(e), k=1)]))
+        if med <= 0.0:
+            return 0.0, None
+        bandwidth = np.sqrt(med / 2.0)
+    k = np.exp(-sq / (2.0 * bandwidth**2))
+    kw = k @ w
+    grad = (2.0 / bandwidth**2) * w[:, None] * (k @ (w[:, None] * e) - kw[:, None] * e)
+    return float(w @ kw), grad
 
 
-def mmd_rbf(x, y, bandwidth: float) -> float:
-    """Biased (V-statistic) squared MMD with an RBF kernel."""
+def _mmd_weights(n: int, m: int) -> np.ndarray:
+    """w of the biased MMD: 1/n on the first n rows, -1/m on the next m."""
+    return np.repeat([1.0 / n, -1.0 / m], [n, m])
+
+
+def mmd_rbf(x, y, bandwidth: float | None) -> float:
+    """Biased (V-statistic) squared MMD with an RBF kernel: w.T K w over
+    [x; y]. bandwidth None means the median heuristic on [x; y], as
+    ModelConfig.mmd_bandwidth None does per batch."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if len(x) == 0 or len(y) == 0:
         raise EmptyGroup("MMD needs at least one vector per group")
-    if bandwidth <= 0:
+    if bandwidth is not None and bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    return _mmd_from_kernels(_rbf_kernels(x, y, bandwidth))
-
-
-def _rbf_kernels(x, y, sigma):
-    """(kxx, kyy, kxy), shared by the MMD value and its gradients."""
-    return _rbf_kernel(x, x, sigma), _rbf_kernel(y, y, sigma), _rbf_kernel(x, y, sigma)
-
-
-def _mmd_from_kernels(kernels) -> float:
-    kxx, kyy, kxy = kernels
-    return float(kxx.mean() + kyy.mean() - 2.0 * kxy.mean())
-
-
-def median_heuristic(embeddings) -> float:
-    """sigma with sigma^2 = median pairwise squared distance / 2."""
-    e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    n = len(e)
-    if n < 2:
-        raise DegenerateEmbeddings(f"need at least 2 embeddings, got {n}")
-    med = float(np.median(_sq_dists(e, e)[np.triu_indices(n, k=1)]))
-    if med <= 0.0:
-        raise DegenerateEmbeddings("median pairwise distance is zero")
-    return float(np.sqrt(med / 2.0))
+    return _mmd(np.vstack([x, y]), _mmd_weights(len(x), len(y)), bandwidth)[0]
 
 
 @dataclass(frozen=True)
@@ -325,30 +323,6 @@ class LossBreakdown:
     l_mmd: float
     l_total: float
     single_domain: bool = False
-
-
-def _mmd_embedding_grads(x, y, sigma, kernels):
-    n, m = len(x), len(y)
-    kxx, kyy, kxy = kernels
-    inv = 1.0 / sigma**2
-    dx = (2.0 * inv / n**2) * (kxx @ x - kxx.sum(axis=1)[:, None] * x) - (
-        2.0 * inv / (n * m)
-    ) * (kxy @ y - kxy.sum(axis=1)[:, None] * x)
-    dy = (2.0 * inv / m**2) * (kyy @ y - kyy.sum(axis=1)[:, None] * y) - (
-        2.0 * inv / (n * m)
-    ) * (kxy.T @ x - kxy.sum(axis=0)[:, None] * y)
-    return dx, dy
-
-
-def _mmd_sigma(config: ModelConfig, embeddings: np.ndarray) -> float | None:
-    """Bandwidth for this batch; None signals a degenerate embedding cloud
-    (all points identical), where the MMD is exactly zero anyway."""
-    if config.mmd_bandwidth is not None:
-        return float(config.mmd_bandwidth)
-    try:
-        return median_heuristic(embeddings)
-    except DegenerateEmbeddings:
-        return None
 
 
 def _loss_and_grads(params, x, y_class, y_domain, config, want_grads: bool):
@@ -372,16 +346,13 @@ def _step(params, rows, y_class, y_domain, config, want_grads: bool, z1=None):
     l_class = softmax_cross_entropy(class_logits, y_class)
     l_domain = softmax_cross_entropy(domain_logits, y_domain)
 
-    idx_correct = np.flatnonzero(y_domain == 0)
-    idx_mis = np.flatnonzero(y_domain == 1)
-    single_domain = len(idx_correct) == 0 or len(idx_mis) == 0
-    sigma = kernels = None
-    if not single_domain:
-        sigma = _mmd_sigma(config, emb_domain)
-    if sigma is not None:
-        emb_correct, emb_mis = emb_domain[idx_correct], emb_domain[idx_mis]
-        kernels = _rbf_kernels(emb_correct, emb_mis, sigma)
-    l_mmd = _mmd_from_kernels(kernels) if kernels is not None else 0.0
+    n_mis = int(np.count_nonzero(y_domain))
+    single_domain = n_mis in (0, n)
+    l_mmd, d_mmd = 0.0, None
+    if not single_domain:  # domain rows correct first, as mmd_rbf(correct, mis) stacks them
+        order = np.argsort(y_domain, kind="stable")
+        l_mmd, d_mmd = _mmd(emb_domain[order], _mmd_weights(n - n_mis, n_mis),
+                            config.mmd_bandwidth)
     loss = LossBreakdown(
         l_class,
         l_domain,
@@ -403,10 +374,8 @@ def _step(params, rows, y_class, y_domain, config, want_grads: bool, z1=None):
     dom_head_grads, d_emb_domain = _head_backward(
         params.domain_head, dom_cache, config.lambda1 * probs_d / n
     )
-    if config.lambda2 != 0.0 and kernels is not None:
-        dx, dy = _mmd_embedding_grads(emb_correct, emb_mis, sigma, kernels)
-        d_emb_domain[idx_correct] += config.lambda2 * dx
-        d_emb_domain[idx_mis] += config.lambda2 * dy
+    if config.lambda2 != 0.0 and d_mmd is not None:
+        d_emb_domain[order] += config.lambda2 * d_mmd
 
     # one encoder backward for both views, rows aligned with the forward pass
     d_emb = d_emb_class + d_emb_domain if shared else np.vstack([d_emb_class, d_emb_domain])
@@ -468,12 +437,10 @@ def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
     Gram matrix R @ R.T and C, and W is formed once at the end; else W is
     updated densely."""
     (n, dim), first, lr = x.shape, params.encoder[0], cfg.learning_rate
-    m = n if np.all(params.mask == 1.0) else 2 * n
+    rows = _view_rows(params.mask, x)
+    m = len(rows)
     span = m < dim
     if span:
-        rows = np.empty((m, dim))
-        np.multiply(x, params.mask, out=rows[:n])
-        rows[m - n :] = x
         p0, gram, coef = rows @ first.w, rows @ rows.T, np.zeros((m, first.w.shape[1]))
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
@@ -481,11 +448,11 @@ def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
         any_single = False
         for start in range(0, n, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
+            r = batch if m == n else np.concatenate([batch, batch + n])
             if span:
-                r = batch if m == n else np.concatenate([batch, batch + n])
                 view, z1 = None, p0[r] + gram[r] @ coef + first.b
             else:
-                view, z1 = _view_rows(params.mask, x[batch]), None
+                view, z1 = rows[r], None
             grads, d1, loss = _step(params, view, y_class[batch], y_domain[batch], cfg, True, z1)
             if not np.isfinite(loss.l_total):
                 raise NonFiniteLoss(epoch)

@@ -325,6 +325,8 @@ def read_features(path) -> FeatureSet:
         trial_ids, class_labels, domain_labels = parse_trial_entries(header["trials"])
         if len(trial_ids) != shape[0]:
             raise ValueError(f"{len(trial_ids)} trial entries for {shape[0]} trials")
-        sample_rate = float(header["sample_rate_hz"])
+        sample_rate = float(check_value(header["sample_rate_hz"], float, "sample_rate_hz"))
+        if sample_rate <= 0:
+            raise ValueError(f"sample_rate_hz must be positive, got {sample_rate}")
     return FeatureSet(values.astype(np.float64), bin_freqs, sample_rate, tuple(channel_names),
                       trial_ids, class_labels, domain_labels, header.get("config_hash"))

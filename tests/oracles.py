@@ -43,3 +43,33 @@ def band_power(psd, bin_freqs, band: tuple[float, float]) -> float:
         raise EmptyBand(f"no PSD bin centers inside [{low}, {high}) Hz")
     df = bin_freqs[1] - bin_freqs[0]
     return float(psd[mask].sum() * df)
+
+
+def mmd_embedding_grads(x, y, bandwidth):
+    """(dx, dy): the gradients of the biased RBF-MMD^2 in the rows of x and
+    of y, from the three kernel blocks kxx, kyy and kxy built from explicit
+    row differences. bandwidth None takes sigma^2 = median pairwise squared
+    distance of [x; y] / 2, and None is returned when that median is zero."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    n, m = len(x), len(y)
+    if bandwidth is None:
+        pooled = np.vstack([x, y])
+        pairs = [np.sum((pooled[i] - pooled[j]) ** 2)
+                 for i in range(n + m) for j in range(i + 1, n + m)]
+        med = float(np.median(pairs))
+        if med <= 0.0:
+            return None
+        bandwidth = np.sqrt(med / 2.0)
+
+    def kernel(a, b):
+        return np.exp(-np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2) / (2.0 * bandwidth**2))
+
+    kxx, kyy, kxy = kernel(x, x), kernel(y, y), kernel(x, y)
+    inv = 1.0 / bandwidth**2
+    dx = (2.0 * inv / n**2) * (kxx @ x - kxx.sum(axis=1)[:, None] * x) - (
+        2.0 * inv / (n * m)
+    ) * (kxy @ y - kxy.sum(axis=1)[:, None] * x)
+    dy = (2.0 * inv / m**2) * (kyy @ y - kyy.sum(axis=1)[:, None] * y) - (
+        2.0 * inv / (n * m)
+    ) * (kxy.T @ x - kxy.sum(axis=0)[:, None] * y)
+    return dx, dy

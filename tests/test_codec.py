@@ -170,11 +170,15 @@ def corrupt_features(path: Path, defect: str) -> None:
         header["trials"] = header["trials"][:2]
     elif defect == "class_label":
         header["trials"][0]["class_label"] = 7
+    elif defect.startswith("sample_rate_hz="):
+        header["sample_rate_hz"] = json.loads(defect.partition("=")[2])
     rewrite(path, header, values.tobytes())
 
 
 @pytest.mark.parametrize("defect", ["negative dims", "nan", "bin_freqs_hz",
-                                    "channel_names", "trials", "class_label"])
+                                    "channel_names", "trials", "class_label",
+                                    *(f"sample_rate_hz={v}" for v in
+                                      ("NaN", "-Infinity", "true", "-5", '"fast"'))])
 def test_bad_feature_file_named(files, capsys, defect):
     corrupt_features(files["features.bin"], defect)
     with pytest.raises(MalformedManifest):
@@ -284,23 +288,26 @@ def test_default_config_round_trips(tmp_path):
     assert load_run_config(str(path)) == default_run_config()
 
 
-# --- the MMD kernels are built once per step -------------------------------
+# --- the MMD term builds one distance matrix per step -----------------------
 
 def test_mmd_kernels_built_once_per_step(monkeypatch):
     calls = []
-    original = model._rbf_kernel
+    original = model._sq_dists
 
-    def counting(a, b, sigma):
-        calls.append(sigma)
-        return original(a, b, sigma)
+    def counting(a, b):
+        calls.append(len(a))
+        return original(a, b)
 
-    monkeypatch.setattr(model, "_rbf_kernel", counting)
-    config = ModelConfig(n_channels=3, bin_freqs_hz=FREQS, encoder_dims=(6,),
-                         class_head_dims=(4,), domain_head_dims=(2,), seed=1)
+    monkeypatch.setattr(model, "_sq_dists", counting)
     rng = np.random.default_rng(0)
-    backward(init_params(config), rng.normal(size=(8, 12)), np.arange(8) % 4,
-             np.arange(8) % 2, config)
-    assert len(calls) == 3
+    x, y_class, y_domain = rng.normal(size=(8, 12)), np.arange(8) % 4, np.arange(8) % 2
+    for bandwidth in (1.0, None):
+        config = ModelConfig(n_channels=3, bin_freqs_hz=FREQS, encoder_dims=(6,),
+                             class_head_dims=(4,), domain_head_dims=(2,), seed=1,
+                             mmd_bandwidth=bandwidth)
+        calls.clear()
+        backward(init_params(config), x, y_class, y_domain, config)
+        assert calls == [8], bandwidth
 
 
 # --- fuzz: readers and the config loader raise only named errors ----------

@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegintent.errors import (
-    DegenerateEmbeddings,
-    EmptyGroup,
-    NonFiniteLoss,
-    ShapeMismatch,
-)
+from eegintent.errors import EmptyGroup, NonFiniteLoss, ShapeMismatch
 from eegintent.model import (
     FeatureScaler,
     Layer,
@@ -16,9 +11,6 @@ from eegintent.model import (
     ModelParams,
     TrainMode,
     _log_softmax,
-    _mmd_embedding_grads,
-    _mmd_sigma,
-    _rbf_kernels,
     backward,
     band_mask_bins,
     compute_loss,
@@ -27,13 +19,13 @@ from eegintent.model import (
     init_params,
     input_mask,
     load_model,
-    median_heuristic,
     mmd_rbf,
     save_model,
     softmax_cross_entropy,
     train,
 )
 from eegintent.spectral import BandTable
+from oracles import mmd_embedding_grads
 
 # C=2 channels x F=6 bins: one bin per band plus an out-of-band 2nd theta bin
 TOY_FREQS = (2.0, 6.0, 10.0, 20.0, 35.0, 7.0)
@@ -108,10 +100,11 @@ def reference_backward(params, x, y_class, y_domain, config):
         params.domain_head, cache_head_d, config.lambda1 * probs_d / n, False
     )
     correct, mis = np.flatnonzero(y_domain == 0), np.flatnonzero(y_domain == 1)
-    sigma = _mmd_sigma(config, emb_d) if len(correct) and len(mis) else None
-    if config.lambda2 != 0.0 and sigma is not None:
-        x, y = emb_d[correct], emb_d[mis]
-        dx, dy = _mmd_embedding_grads(x, y, sigma, _rbf_kernels(x, y, sigma))
+    grads = None
+    if len(correct) and len(mis):
+        grads = mmd_embedding_grads(emb_d[correct], emb_d[mis], config.mmd_bandwidth)
+    if config.lambda2 != 0.0 and grads is not None:
+        dx, dy = grads
         d_emb_d = d_emb_d.copy()
         d_emb_d[correct] += config.lambda2 * dx
         d_emb_d[mis] += config.lambda2 * dy
@@ -242,6 +235,16 @@ class TestForward:
         np.testing.assert_allclose(emb_domain, ref_domain, rtol=1e-12, atol=0)
 
 
+def double_sum_mmd(x, y, sigma):
+    def k(u, v):
+        return np.exp(-np.sum((u - v) ** 2) / (2 * sigma**2))
+
+    xx = sum(k(a, b) for a in x for b in x) / (len(x) * len(x))
+    yy = sum(k(a, b) for a in y for b in y) / (len(y) * len(y))
+    xy = sum(k(a, b) for a in x for b in y) / (len(x) * len(y))
+    return xx + yy - 2 * xy
+
+
 class TestMmd:
     def test_identical_sets_zero(self):
         rng = np.random.default_rng(0)
@@ -263,14 +266,7 @@ class TestMmd:
             x = rng.normal(size=(n, d))
             y = rng.normal(size=(m, d))
             sigma = float(rng.uniform(0.3, 2.0))
-
-            def k(u, v):
-                return np.exp(-np.sum((u - v) ** 2) / (2 * sigma**2))
-
-            xx = sum(k(a, b) for a in x for b in x) / (n * n)
-            yy = sum(k(a, b) for a in y for b in y) / (m * m)
-            xy = sum(k(a, b) for a in x for b in y) / (n * m)
-            assert abs(mmd_rbf(x, y, sigma) - (xx + yy - 2 * xy)) < 1e-12
+            assert abs(mmd_rbf(x, y, sigma) - double_sum_mmd(x, y, sigma)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -286,13 +282,16 @@ class TestMmd:
 
 
 class TestMedianHeuristic:
+    """mmd_rbf with bandwidth None: sigma^2 = median pairwise squared
+    distance of [x; y] / 2."""
+
     def test_two_points(self):
-        x = np.array([[0.0, 0.0], [3.0, 4.0]])  # distance 5
-        assert median_heuristic(x) == pytest.approx(5.0 / np.sqrt(2.0), abs=1e-12)
+        x, y = np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])  # distance 5
+        # sigma^2 = 25 / 2, so the cross kernel is exp(-1)
+        assert mmd_rbf(x, y, None) == pytest.approx(2.0 - 2.0 * np.exp(-1.0), abs=1e-12)
 
     def test_all_identical(self):
-        with pytest.raises(DegenerateEmbeddings):
-            median_heuristic(np.ones((5, 3)))
+        assert mmd_rbf(np.ones((2, 3)), np.ones((3, 3)), None) == 0.0
 
     def test_matches_sorted_pairs_oracle(self):
         rng = np.random.default_rng(31)
@@ -304,7 +303,8 @@ class TestMedianHeuristic:
         )
         assert len(sq) == 45
         med = sq[22]  # odd count: the middle element
-        assert median_heuristic(pts) == pytest.approx(np.sqrt(med / 2.0), rel=1e-12)
+        expected = double_sum_mmd(pts[:4], pts[4:], np.sqrt(med / 2.0))
+        assert mmd_rbf(pts[:4], pts[4:], None) == pytest.approx(expected, rel=1e-12)
 
 
 class TestLoss:
@@ -454,18 +454,19 @@ def assert_close_rel(actual, reference, tol):
             assert np.linalg.norm(x - y) <= tol * np.linalg.norm(y)
 
 
-def spy_view_rows(monkeypatch):
-    """Count the dense step's view-row builds; the coefficient form makes none."""
+def spy_dense_steps(monkeypatch):
+    """Count the steps fed encoder rows; the coefficient form feeds none."""
     import eegintent.model as model
 
     calls = []
-    real = model._view_rows
+    real = model._step
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(params, rows, *args):
+        if rows is not None:
+            calls.append(rows)
+        return real(params, rows, *args)
 
-    monkeypatch.setattr(model, "_view_rows", counting)
+    monkeypatch.setattr(model, "_step", counting)
     return calls
 
 
@@ -490,7 +491,7 @@ class TestSpanTrain:
         rng = np.random.default_rng(21)
         x = rng.normal(size=(10, 24))  # 2N = 20 rows < 24 inputs
         yc, yd = rng.integers(0, 4, 10), np.arange(10) % 2
-        calls = spy_view_rows(monkeypatch)
+        calls = spy_dense_steps(monkeypatch)
         params, _ = train(x, yc, yd, cfg, mode)
         assert not calls
         ref = reference_train(x, yc, yd, effective_config(cfg, mode))
@@ -510,7 +511,7 @@ class TestSpanTrain:
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, 24))
         yc, yd = rng.integers(0, 4, n), np.arange(n) % 2
-        calls = spy_view_rows(monkeypatch)
+        calls = spy_dense_steps(monkeypatch)
         params, _ = train(x, yc, yd, cfg, mode)
         assert (not calls) == span
         ref = reference_train(x, yc, yd, effective_config(cfg, mode))
