@@ -6,17 +6,23 @@ trials scale the delta/alpha components up at frontal-central channels and
 the gamma component down at temporal channels, so the generator is its own
 ground truth for the statistics and decoding stages.
 
-generate_trial returns one trial's samples; generate_dataset stacks them as
-float32 into a Dataset with its label vectors.
+generate_trial returns one trial's samples; generate_dataset fills a float32
+Dataset with them, one thread per usable core.
 
 Determinism contract: every trial draws from its own generator seeded with
 seed XOR splitmix64(trial_id), and the domain label only multiplies
 amplitudes after all random draws, so trials can be generated in any order
-and label flips keep shared components identical.
+and label flips keep shared components identical. Hence the worker count (the
+process's CPU affinity, never a config key) cannot change a byte. A trial's
+BLAS products run in column blocks of at most 2**18 multiply-adds, which
+OpenBLAS computes on the calling thread: concurrent trials never wait on its
+thread server, and the float64 trial does not depend on BLAS's thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +35,7 @@ from .montage import Montage, Region, default_montage
 from .spectral import BandTable
 
 _MASK64 = (1 << 64) - 1
+_BLAS_BLOCK = 1 << 18  # OpenBLAS runs a GEMM of m*n*k <= 4 * 65536 on the calling thread
 
 # 500/512 Hz bin centers: a periodic-Hann Welch segment confines a
 # bin-centered sinusoid to +-1 bin, so components do not leak across bands
@@ -156,14 +163,20 @@ def pink_noise(n_rows: int, n_samples: int, rng: np.random.Generator) -> np.ndar
     return x[:, :n_samples] - x[:, :n_samples].mean(axis=-1, keepdims=True)
 
 
-def _region_gain(
-    montage: Montage, channel_names, region: Region, gain: float
-) -> np.ndarray:
-    g = np.ones(len(channel_names))
-    for i, name in enumerate(channel_names):
-        if montage.entry(name).region == region:
-            g[i] = gain
-    return g
+@lru_cache(maxsize=16)
+def _region_mask(montage: Montage, channel_names: tuple[str, ...], region: Region) -> np.ndarray:
+    mask = np.array([montage.entry(name).region == region for name in channel_names])
+    mask.flags.writeable = False
+    return mask
+
+
+def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in column blocks of b of at most _BLAS_BLOCK multiply-adds each."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    step = max(1, _BLAS_BLOCK // (a.shape[0] * a.shape[1]))
+    for j in range(0, b.shape[1], step):
+        np.matmul(a, b[:, j : j + step], out=out[:, j : j + step])
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -193,19 +206,18 @@ def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
     samples = pink_noise(n_ch, n, rng) * config.pink_noise_scale
 
     mis = bool(misarticulated)
+    frontal = _region_mask(montage, names, Region.FRONTAL_CENTRAL)
+    temporal = _region_mask(montage, names, Region.TEMPORAL)
     # (freqs, base amplitude, per-channel gain vector) for every component group
     groups = [
         (config.class_signature_freqs_hz[class_label], config.class_signature_amp,
          np.ones(n_ch)),
         (config.delta_freqs_hz, config.delta_amp,
-         _region_gain(montage, names, Region.FRONTAL_CENTRAL,
-                      config.delta_gain_mis if mis else 1.0)),
+         np.where(frontal, config.delta_gain_mis if mis else 1.0, 1.0)),
         (config.alpha_freqs_hz, config.alpha_amp,
-         _region_gain(montage, names, Region.FRONTAL_CENTRAL,
-                      config.alpha_gain_mis if mis else 1.0)),
+         np.where(frontal, config.alpha_gain_mis if mis else 1.0, 1.0)),
         (config.gamma_freqs_hz, config.gamma_amp,
-         _region_gain(montage, names, Region.TEMPORAL,
-                      config.gamma_gain_mis if mis else 1.0)),
+         np.where(temporal, config.gamma_gain_mis if mis else 1.0, 1.0)),
     ]
     freqs: list[float] = []
     amps = []
@@ -222,8 +234,16 @@ def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
     phase = np.stack(phases, axis=1)
     sin_t, cos_t = _sin_cos_basis(tuple(freqs), n, spec.sample_rate_hz)
     # sin(2 pi f t + phi) = cos(phi) sin(2 pi f t) + sin(phi) cos(2 pi f t)
-    samples += (amp * np.cos(phase)) @ sin_t + (amp * np.sin(phase)) @ cos_t
+    samples += (_blocked_matmul(amp * np.cos(phase), sin_t)
+                + _blocked_matmul(amp * np.sin(phase), cos_t))
     return samples
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def generate_dataset(config: SynthConfig) -> Dataset:
@@ -232,6 +252,7 @@ def generate_dataset(config: SynthConfig) -> Dataset:
 
     A pure function of the config: per-trial generators are derived from
     config.seed, so trial order and prior draws cannot leak between trials.
+    A trial's error is raised as is, and trials not yet started are cancelled.
     The class signatures must sit in the pass band (ValueError); the run
     config also checks them against its bands.
     """
@@ -242,8 +263,12 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     trial_ids = np.arange(N_CLASSES * config.n_trials_per_class)
     samples = np.empty((len(trial_ids), spec.n_channels, spec.n_samples), dtype=np.float32)
     domains = np.empty(len(trial_ids), dtype=np.int64)
-    for tid in trial_ids:
-        rng = np.random.default_rng(trial_seed(config.seed, int(tid)))
+
+    def fill(tid: int) -> None:
+        rng = np.random.default_rng(trial_seed(config.seed, tid))
         domains[tid] = rng.random() < config.misarticulation_rate
         samples[tid] = generate_trial(tid % N_CLASSES, domains[tid], config, montage, rng, spec)
+
+    with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
+        list(pool.map(fill, range(len(trial_ids))))  # map cancels the rest if one raises
     return Dataset(spec, names, samples, trial_ids, trial_ids % N_CLASSES, domains)

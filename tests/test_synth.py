@@ -1,8 +1,16 @@
+import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from eegintent import synth
+from eegintent.cli import main
 from eegintent.data import AcquisitionSpec
+from eegintent.errors import UnknownChannel
 from eegintent.montage import Region, default_montage
 from eegintent.spectral import BandTable, WelchConfig
 from eegintent.synth import (
@@ -17,6 +25,40 @@ from oracles import band_power, welch_psd
 
 MONTAGE = default_montage()
 SPEC = AcquisitionSpec()
+
+
+def patch_cores(monkeypatch, n):
+    """Make the process see n usable cores; returns the list that records the
+    worker count of every pool generate_dataset opens."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(synth, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+def fail_trial_5(monkeypatch, seed):
+    """Replace generate_trial: trial 5 raises UnknownChannel and every later
+    trial takes 0.3 s. Returns the set of trial ids that were started."""
+    trial_of_seed = {trial_seed(seed, tid): tid for tid in range(200)}  # default size
+    started = set()
+
+    def fake_trial(class_label, misarticulated, config, montage, rng, spec):
+        tid = trial_of_seed[rng.bit_generator.seed_seq.entropy]
+        started.add(tid)
+        if tid == 5:
+            raise UnknownChannel("channel 'Xz' is not in the montage")
+        if tid > 5:
+            time.sleep(0.3)
+        return np.zeros((spec.n_channels, spec.n_samples))
+
+    monkeypatch.setattr(synth, "generate_trial", fake_trial)
+    return started
 
 
 class TestPinkNoise:
@@ -142,15 +184,53 @@ class TestGenerateDataset:
         lo, hi = sps.binom.interval(0.99, n, 0.3)
         assert lo <= total <= hi
 
-    def test_trials_independent_of_generation_order(self):
+    def test_trials_independent_of_generation_order(self, monkeypatch):
+        # every trial regenerated serially from its sub-seed must match the
+        # pooled dataset byte for byte at 1, 2 and 3 workers, with the
+        # interpreter switching threads as often as it can
         cfg = SynthConfig(n_trials_per_class=3, seed=13)
-        ds = generate_dataset(cfg)
-        # regenerate trial 7 standalone from its sub-seed
-        rng = np.random.default_rng(trial_seed(cfg.seed, 7))
-        misarticulated = rng.random() < cfg.misarticulation_rate
-        trial = generate_trial(7 % 4, misarticulated, cfg, MONTAGE, rng, SPEC)
-        assert ds.trial_ids[7] == 7 and ds.domain_labels[7] == misarticulated
-        assert np.array_equal(trial.astype(np.float32), ds.samples[7])
+        trials, domains = [], []
+        for tid in range(12):
+            rng = np.random.default_rng(trial_seed(cfg.seed, tid))
+            domains.append(rng.random() < cfg.misarticulation_rate)
+            trial = generate_trial(tid % 4, domains[-1], cfg, MONTAGE, rng, SPEC)
+            trials.append(trial.astype(np.float32).tobytes())
+        interval = sys.getswitchinterval()
+        for cores in (1, 2, 3):
+            pools = patch_cores(monkeypatch, cores)
+            sys.setswitchinterval(1e-6)
+            try:
+                ds = generate_dataset(cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            assert pools == [cores]
+            assert ds.trial_ids.tolist() == list(range(12))
+            assert ds.domain_labels.tolist() == domains
+            assert [ds.samples[tid].tobytes() for tid in range(12)] == trials
+
+    def test_core_count_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert synth._usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert synth._usable_cores() == 1
+
+    def test_trial_error_raised_and_later_trials_cancelled(self, monkeypatch):
+        patch_cores(monkeypatch, 2)
+        started = fail_trial_5(monkeypatch, seed=0)
+        with pytest.raises(UnknownChannel) as info:
+            generate_dataset(SynthConfig(n_trials_per_class=3, seed=0))
+        assert str(info.value) == "channel 'Xz' is not in the montage"
+        # two workers: only trials 6 and 7 can start before 8-11 are cancelled
+        assert 5 in started and max(started) <= 7
+
+    def test_cli_synth_names_trial_error(self, monkeypatch, tmp_path, capsys):
+        fail_trial_5(monkeypatch, seed=0)
+        assert main(["synth", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: synth: UnknownChannel: channel 'Xz' is not in the montage" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "dataset.json").exists()
 
     def test_config_round_trip(self):
         cfg = SynthConfig(seed=123, class_signature_amp=0.2)
@@ -165,6 +245,33 @@ class TestGenerateDataset:
             SynthConfig(delta_gain_mis=0.5)
         with pytest.raises(ValueError, match="seed"):
             SynthConfig(seed=-1)
+
+
+class TestBlockedMatmul:
+    # (64, 15, 1500) is the synth shape: 5 blocks of 273 columns and one of 135
+    @pytest.mark.parametrize("m, k, n", [(64, 15, 1500), (7, 5, 10_000), (3, 2, 5)])
+    def test_matches_matmul_in_bounded_blocks(self, monkeypatch, m, k, n):
+        rng = np.random.default_rng(m * n)
+        block_sizes = []
+        matmul = np.matmul
+
+        def recording_matmul(x, y, **kwargs):
+            block_sizes.append(x.shape[0] * x.shape[1] * y.shape[1])
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        # small integers: every summation order is exact, so equal bits show
+        # that each output column comes from its own column of b
+        a = rng.integers(-50, 50, (m, k)).astype(float)
+        b = rng.integers(-50, 50, (k, n)).astype(float)
+        assert synth._blocked_matmul(a, b).tobytes() == (a @ b).tobytes()
+        assert sum(block_sizes) == m * k * n
+        assert max(block_sizes) <= 2**18
+        # general values: OpenBLAS may round a column tail of the one large
+        # product in another order, so only the dot-product error bound holds
+        a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+        bound = 2 * k * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(synth._blocked_matmul(a, b) - a @ b) <= bound)
 
 
 class TestHashing:
