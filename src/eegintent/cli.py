@@ -25,7 +25,7 @@ from .data import (
     save_dataset,
     stratified_split_indices,
 )
-from .errors import PipelineError
+from .errors import PipelineError, ShapeMismatch
 from .evaluation import evaluate
 from .model import (
     FeatureScaler,
@@ -171,11 +171,14 @@ def _cmd_synth(cfg: dict, args) -> int:
     return 0
 
 
+def _features(cfg: dict, dataset):
+    """The run's Welch features rounded to float32, as the feature file holds them."""
+    features = extract_feature_set(dataset, WelchConfig.from_dict(cfg["welch"]), config_hash(cfg))
+    return replace(features, values=features.values.astype(np.float32))
+
+
 def _cmd_features(cfg: dict, args) -> int:
-    dataset = load_dataset(args.dataset)
-    features = extract_feature_set(
-        dataset, WelchConfig.from_dict(cfg["welch"]), config_hash=config_hash(cfg)
-    )
+    features = _features(cfg, load_dataset(args.dataset))
     out = Path(args.out or Path(cfg["out_dir"]) / "features.bin")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_features(features, out)
@@ -256,7 +259,11 @@ def _cmd_train(cfg: dict, args) -> int:
 
 def _cmd_eval(cfg: dict, args) -> int:
     features = read_features(args.features)
-    params, _, mode, scaler = load_model(args.model)
+    params, model_cfg, mode, scaler = load_model(args.model)
+    layouts = [(c.n_channels, tuple(map(float, c.bin_freqs_hz))) for c in (features, model_cfg)]
+    if layouts[0] != layouts[1]:  # a flat width can match on another layout
+        raise ShapeMismatch("features of {} for a model of {}".format(*(
+            f"{n} channels x {len(f)} bins {f[:1] + f[-1:]} Hz" for n, f in layouts)))
     _, test_set = _split(cfg, features)
     report = _evaluate_on(params, scaler, test_set)
     payload = {"config_hash": config_hash(cfg), "mode": mode.value, **report.to_dict()}
@@ -295,12 +302,10 @@ def run_report(cfg: dict, n_seeds: int, out_dir: Path) -> dict:
     """Full pipeline over n_seeds seeds; returns the report payload."""
     chash = config_hash(cfg)
     base_synth = SynthConfig.from_dict(cfg["synth"])
-    welch = WelchConfig.from_dict(cfg["welch"])
     per_seed = []
     for i in range(n_seeds):
         synth_cfg = replace(base_synth, seed=base_synth.seed + i)
-        dataset = generate_dataset(synth_cfg)
-        features = extract_feature_set(dataset, welch, config_hash=chash)
+        features = _features(cfg, generate_dataset(synth_cfg))
         if i == 0:
             maps = _band_maps(cfg, features)
             _write_maps(maps, out_dir / "topomaps", chash)

@@ -4,8 +4,8 @@ The Welch PSD uses periodic Hann windows, per-segment mean removal and
 one-sided density scaling in microvolt^2 per Hz. It is a DFT of the kept bins
 only, one BLAS matmul per trial; the reference it is tested against, one fft
 per segment over every bin, lives in tests/oracles.py. The last bits of the
-float64 feature values may depend on the BLAS build and CPU kernel; the
-float32 feature file is the reproducible artifact.
+float64 values may depend on the BLAS build and CPU kernel, so the pipeline,
+`report` and the feature file alike, computes from them rounded to float32.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ def band_powers_from_features(
     if len(bin_freqs) < 2:
         raise EmptyBand(f"need at least two feature bins for the bin width, got {len(bin_freqs)}")
     df = bin_freqs[1] - bin_freqs[0]
-    psd = 10.0 ** np.asarray(values)
+    psd = 10.0 ** np.asarray(values, dtype=np.float64)
     out = []
     for b in bands:
         mask = b.contains(bin_freqs)
@@ -310,8 +310,9 @@ def write_features(features: FeatureSet, path) -> None:
 
 
 def read_features(path) -> FeatureSet:
-    """Read a file written by write_features; MissingFile or MalformedManifest
-    (naming the file) when it is absent, truncated, inconsistent or not finite."""
+    """Read a file written by write_features, its values the read-only float32
+    blob without a copy; MissingFile or MalformedManifest (naming the file)
+    when it is absent, truncated, inconsistent or not finite."""
     header, blob = read_header(path, FEATURES_FORMAT, "feature file")
     with header_fields(path):
         shape = (header["n_trials"], header["n_channels"], header["n_bins"])
@@ -328,5 +329,5 @@ def read_features(path) -> FeatureSet:
         sample_rate = float(check_value(header["sample_rate_hz"], float, "sample_rate_hz"))
         if sample_rate <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {sample_rate}")
-    return FeatureSet(values.astype(np.float64), bin_freqs, sample_rate, tuple(channel_names),
+    return FeatureSet(values, bin_freqs, sample_rate, tuple(channel_names),
                       trial_ids, class_labels, domain_labels, header.get("config_hash"))

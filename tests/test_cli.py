@@ -1,12 +1,14 @@
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eegintent.cli import config_hash, default_run_config, load_run_config, main
-from eegintent.spectral import BandTable
+from eegintent.data import AcquisitionSpec, load_dataset, save_dataset
+from eegintent.spectral import BandTable, read_features
 
 TINY_CONFIG = {
     "synth": {
@@ -238,6 +240,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ShapeMismatch" in err
 
+    def test_eval_names_other_layout_of_same_width(self, tmp_path, tiny_features, capsys):
+        # 32 channels at 250 Hz: 32 x 100 bins, the 3,200 inputs of a 64 x 50 model
+        model = tmp_path / "model.bin"
+        assert run("train", "--features", str(tiny_features), "--out", str(model)) == 0
+        tiny = load_dataset(tiny_features.parent / "dataset.json")
+        spec = AcquisitionSpec(sample_rate_hz=250.0, n_channels=32, trial_seconds=6.0)
+        save_dataset(replace(tiny, spec=spec, channel_names=tiny.channel_names[:32],
+                             samples=tiny.samples[:, :32]), tmp_path / "set.json")
+        features = tmp_path / "features.bin"
+        assert run("features", "--dataset", str(tmp_path / "set.json"),
+                   "--out", str(features)) == 0
+        assert read_features(features).flat().shape[1] == 3200
+        out = tmp_path / "eval.json"
+        assert run("eval", "--features", str(features), "--model", str(model),
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "eval: ShapeMismatch: features of 32 channels x 100 bins" in err
+        assert "for a model of 64 channels x 50 bins" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -354,6 +376,36 @@ class TestReport:
         for svg in sorted((out_a / "topomaps").glob("*.svg")):
             twin = out_b / "topomaps" / svg.name
             assert svg.read_bytes() == twin.read_bytes()
+
+    def test_report_matches_stage_chain(self, tmp_path):
+        # one seed, so the chain and report share a config and a config_hash
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "report": {"seeds": 1}}))
+        cfg, out = ["--config", str(config)], tmp_path / "chain"
+        features = out / "features.bin"
+        assert run("synth", *cfg, "--out", str(out)) == 0
+        assert run("features", *cfg, "--dataset", str(out / "dataset.json"),
+                   "--out", str(features)) == 0
+        assert run("stats", *cfg, "--features", str(features), "--out", str(out / "stats")) == 0
+        evals = {}
+        for mode in ("baseline", "multitask"):
+            model, evals[mode] = out / f"model_{mode}.bin", out / f"eval_{mode}.json"
+            assert run("train", *cfg, "--features", str(features), "--mode", mode,
+                       "--out", str(model)) == 0
+            assert run("eval", *cfg, "--features", str(features), "--model", str(model),
+                       "--out", str(evals[mode])) == 0
+        report = tmp_path / "report"
+        assert run("report", *cfg, "--out", str(report)) == 0
+
+        stats = sorted(p.name for p in (out / "stats").iterdir())
+        assert stats == sorted(p.name for p in (report / "topomaps").iterdir())
+        for name in stats:
+            assert (report / "topomaps" / name).read_bytes() == (out / "stats" / name).read_bytes()
+        (row,) = json.loads((report / "report.json").read_text())["per_seed"]
+        for mode, path in evals.items():
+            payload = json.loads(path.read_text())
+            assert payload.pop("config_hash") and payload.pop("mode") == mode
+            assert row[mode] == payload
 
     def test_seeds_flag_overrides(self, tmp_path, tiny_config_path):
         out = tmp_path / "r"

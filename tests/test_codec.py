@@ -106,6 +106,14 @@ def test_pinned_files_round_trip(files):
     assert [layer.w.shape for layer in params.all_layers()] == [(12, 5), (5, 3), (3, 4), (3, 2)]
 
 
+def test_features_read_as_the_float32_blob(files):
+    # like a dataset's samples: the blob itself, not a float64 copy
+    values = read_features(files["features.bin"]).values
+    _, blob = header_and_blob(files["features.bin"])
+    assert values.dtype == np.float32 and not values.flags.writeable
+    assert values.tobytes() == blob
+
+
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path):
     target = tmp_path / "out.bin"
     target.write_bytes(b"previous")

@@ -224,6 +224,15 @@ class TestExtractFeatures:
         for trial, values in zip(trials, together):
             assert np.array_equal(extract_features(trial, WelchConfig(), spec).values, values)
 
+    def test_band_powers_same_bits_for_float32_input(self):
+        # feature files hold float32; the powers must not be taken in float32
+        samples = np.random.default_rng(5).normal(size=(64, 1500))
+        feats = extract_features(samples, WelchConfig(), self.spec)
+        values = feats.values.astype(np.float32)
+        as32 = band_powers_from_features(values, feats.bin_freqs_hz, BandTable())
+        as64 = band_powers_from_features(values.astype(np.float64), feats.bin_freqs_hz, BandTable())
+        assert as32.dtype == np.float64 and as32.tobytes() == as64.tobytes()
+
     @pytest.mark.parametrize("offset", [0.0, 1000.0])
     @pytest.mark.parametrize("band", [(1.0, 50.0), (0.0, FS / 2)])  # the second keeps DC and Nyquist
     @pytest.mark.parametrize(
