@@ -25,7 +25,7 @@ from .data import (
     save_dataset,
     stratified_split_indices,
 )
-from .errors import PipelineError, ShapeMismatch
+from .errors import OutOfMemory, PipelineError, ShapeMismatch
 from .evaluation import evaluate
 from .model import (
     FeatureScaler,
@@ -171,14 +171,10 @@ def _cmd_synth(cfg: dict, args) -> int:
     return 0
 
 
-def _features(cfg: dict, dataset):
-    """The run's Welch features rounded to float32, as the feature file holds them."""
-    features = extract_feature_set(dataset, WelchConfig.from_dict(cfg["welch"]), config_hash(cfg))
-    return replace(features, values=features.values.astype(np.float32))
-
-
 def _cmd_features(cfg: dict, args) -> int:
-    features = _features(cfg, load_dataset(args.dataset))
+    welch = WelchConfig.from_dict(cfg["welch"])
+    features = extract_feature_set(load_dataset(args.dataset), welch, config_hash(cfg))
+    features = replace(features, values=features.values.astype(np.float32))
     out = Path(args.out or Path(cfg["out_dir"]) / "features.bin")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_features(features, out)
@@ -225,11 +221,13 @@ def _history_csv(history, chash: str) -> str:
 
 
 def _train_on(cfg: dict, train_set, mode: TrainMode):
-    """(params, model config, scaler, history) of training on the train rows."""
+    """(params rounded to float32 as in a model file, model config, scaler, history)."""
     model_cfg = _model_config(cfg, train_set.n_channels, train_set.bin_freqs_hz)
     scaler = FeatureScaler.fit(train_set.flat())
     x = scaler.transform(train_set.flat())
     params, history = train(x, train_set.class_labels, train_set.domain_labels, model_cfg, mode)
+    for layer in params.all_layers():
+        layer.w, layer.b = (a.astype(np.float32).astype(np.float64) for a in (layer.w, layer.b))
     return params, model_cfg, scaler, history
 
 
@@ -305,7 +303,7 @@ def run_report(cfg: dict, n_seeds: int, out_dir: Path) -> dict:
     per_seed = []
     for i in range(n_seeds):
         synth_cfg = replace(base_synth, seed=base_synth.seed + i)
-        features = _features(cfg, generate_dataset(synth_cfg))
+        features = generate_dataset(synth_cfg, WelchConfig.from_dict(cfg["welch"]))  # streamed
         if i == 0:
             maps = _band_maps(cfg, features)
             _write_maps(maps, out_dir / "topomaps", chash)
@@ -413,7 +411,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.config, args)
         return args.command(cfg, args)
-    except (PipelineError, ValueError, OSError) as exc:
+    except (PipelineError, ValueError, OSError, MemoryError) as exc:
+        exc = OutOfMemory(exc) if isinstance(exc, MemoryError) else exc
         print(f"error: {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""The trial table, its lossless on-disk format, and stratified splitting.
+"""The trial table, its lossless on-disk format, the trial pool and splitting.
 
 A dataset is one read-only float32 [trials x channels x samples] array in
 microvolts plus int64 trial ids, class labels and domain labels (1 =
@@ -10,6 +10,8 @@ float32 at byte i * channels * samples * 4: a round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,6 +128,21 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.trial_ids)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_trials(fill, n_trials: int) -> None:
+    """fill(i) for every trial index i, on a thread pool of one worker per
+    usable core (the process's CPU affinity, never a config key). A trial's
+    error is raised as is, and trials not yet started are cancelled."""
+    with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
+        list(pool.map(fill, range(n_trials)))  # map cancels the rest if one raises
 
 
 def trial_entries(trial_ids, class_labels, domain_labels) -> list[dict]:

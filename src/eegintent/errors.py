@@ -35,6 +35,10 @@ class IoFailure(PipelineError):
     pass
 
 
+class OutOfMemory(PipelineError):
+    """A stage asked for more memory than the process may have."""
+
+
 class CellTooSmall(PipelineError):
     def __init__(self, class_label, domain_label, count):
         self.class_label = class_label

@@ -1,11 +1,13 @@
 """FFT, Welch PSD features, band powers, and the feature file.
 
 The Welch PSD uses periodic Hann windows, per-segment mean removal and
-one-sided density scaling in microvolt^2 per Hz. It is a DFT of the kept bins
-only, one BLAS matmul per trial; the reference it is tested against, one fft
-per segment over every bin, lives in tests/oracles.py. The last bits of the
-float64 values may depend on the BLAS build and CPU kernel, so the pipeline,
-`report` and the feature file alike, computes from them rounded to float32.
+one-sided density scaling in microvolt^2 per Hz. welch_kernel computes it per
+trial at the kept bins only, its product in blocks that OpenBLAS runs on the
+calling thread, so a trial's features are the same at any worker or BLAS
+thread count. Its reference, one fft per segment over every bin, lives in
+tests/oracles.py. The last bits of the float64 values may depend on the BLAS
+build and CPU kernel, so the pipeline, `report` and the feature file alike,
+computes from them rounded to float32.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from .codec import (
     unpack_floats,
     write_header_file,
 )
-from .data import Dataset, parse_trial_entries, trial_entries
+from .data import AcquisitionSpec, Dataset, map_trials, parse_trial_entries, trial_entries
 from .errors import EmptyBand, NonPowerOfTwoLength, SignalTooShort
 
 PSD_FLOOR = 1e-12  # microvolt^2/Hz, applied before log10
+_BLAS_BLOCK = 1 << 18  # OpenBLAS runs a GEMM of m*n*k <= 4 * 65536 on the calling thread
 
 FEATURES_FORMAT = "eegintent-features-v1"
 
@@ -83,6 +86,15 @@ def ifft(x) -> np.ndarray:
     """Inverse of fft (1/N normalization on the inverse transform)."""
     x = np.asarray(x)
     return np.conj(fft(np.conj(x))) / x.shape[-1]
+
+
+def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in column blocks of b of at most _BLAS_BLOCK multiply-adds each."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    step = max(1, _BLAS_BLOCK // (a.shape[0] * a.shape[1]))
+    for j in range(0, b.shape[1], step):
+        np.matmul(a, b[:, j : j + step], out=out[:, j : j + step])
+    return out
 
 
 # --- Welch PSD -----------------------------------------------------------
@@ -213,6 +225,9 @@ class FeatureSet:
     def n_bins(self) -> int:
         return self.values.shape[2]
 
+    def __len__(self) -> int:
+        return self.n_trials
+
     def flat(self) -> np.ndarray:
         """[trials x (channels * bins)] view for the model."""
         return self.values.reshape(self.n_trials, -1)
@@ -223,47 +238,51 @@ class FeatureSet:
                        class_labels=self.class_labels[i], domain_labels=self.domain_labels[i])
 
 
-def extract_feature_set(
-    dataset: Dataset,
-    config: WelchConfig,
-    config_hash: str | None = None,
-) -> FeatureSet:
-    """Per-channel Welch log10 PSD over the acquisition band, every trial
-    stacked.
-
-    Only the bins with centers in [band_low, band_high] are computed: each
-    trial's detrended segments times the kept-bin DFT basis, one BLAS matmul
-    of the same shape for every trial, so a trial's values do not depend on
-    the trials around it.
-    """
-    spec = dataset.spec
-    if len(dataset) == 0:
-        raise ValueError("dataset has no trials")
+def welch_kernel(spec: AcquisitionSpec, config: WelchConfig):
+    """(bin_freqs_hz, log_psd): the Welch bins centered in [band_low, band_high]
+    and the map from a [channels x samples] trial of `spec` to its float64 log10
+    PSD there. SignalTooShort and EmptyBand precede any segment-sized array."""
     seg = config.segment_length
+    if spec.n_samples < seg:
+        raise SignalTooShort(f"signal length {spec.n_samples} < segment length {seg}")
     bins = np.arange(seg // 2 + 1)
     freqs = bins * (spec.sample_rate_hz / seg)
     keep = bins[(freqs >= spec.band_low_hz) & (freqs <= spec.band_high_hz)]
     if len(keep) == 0:
         raise EmptyBand(f"no {seg}-sample Welch bin inside "
                         f"[{spec.band_low_hz}, {spec.band_high_hz}] Hz")
-    n_samples = dataset.samples.shape[-1]
-    if n_samples < seg:
-        raise SignalTooShort(f"signal length {n_samples} < segment length {seg}")
     basis = _kept_bin_basis(seg, tuple(keep.tolist()))
     step = seg - config.overlap
-    n_segments = (n_samples - seg) // step + 1
+    n_segments = (spec.n_samples - seg) // step + 1
     # one-sided density over the segment mean: 1/(fs * sum(w^2)), doubled but at DC and Nyquist
     scale = 1.0 / (spec.sample_rate_hz * np.sum(_hann(seg) ** 2)) / n_segments
     density = np.where((keep > 0) & (keep < seg // 2), 2.0 * scale, scale)
-    values = np.empty((len(dataset), spec.n_channels, len(keep)))
-    for i, trial in enumerate(dataset.samples):
+
+    def log_psd(trial: np.ndarray) -> np.ndarray:
         windows = sliding_window_view(trial.astype(np.float64), seg, axis=-1)[:, ::step]
         segments = windows - windows.mean(axis=-1, keepdims=True)  # a copy, mean-removed
-        parts = (segments.reshape(-1, seg) @ basis) ** 2
+        parts = _blocked_matmul(segments.reshape(-1, seg), basis) ** 2
         power = parts[:, : len(keep)] + parts[:, len(keep) :]
-        power = power.reshape(spec.n_channels, n_segments, -1).sum(axis=1)
-        values[i] = np.log10(np.maximum(power * density, PSD_FLOOR))
-    return FeatureSet(values, freqs[keep], spec.sample_rate_hz, dataset.channel_names,
+        power = power.reshape(len(trial), n_segments, -1).sum(axis=1)
+        return np.log10(np.maximum(power * density, PSD_FLOOR))
+
+    return freqs[keep], log_psd
+
+
+def extract_feature_set(dataset: Dataset, config: WelchConfig,
+                        config_hash: str | None = None) -> FeatureSet:
+    """Per-channel Welch log10 PSD over the acquisition band, every trial
+    stacked: welch_kernel on each trial, on data.map_trials's pool."""
+    if len(dataset) == 0:
+        raise ValueError("dataset has no trials")
+    bin_freqs, log_psd = welch_kernel(dataset.spec, config)
+    values = np.empty((len(dataset), dataset.spec.n_channels, len(bin_freqs)))
+
+    def fill(i: int) -> None:
+        values[i] = log_psd(dataset.samples[i])
+
+    map_trials(fill, len(dataset))
+    return FeatureSet(values, bin_freqs, dataset.spec.sample_rate_hz, dataset.channel_names,
                       dataset.trial_ids, dataset.class_labels, dataset.domain_labels, config_hash)
 
 

@@ -6,36 +6,37 @@ trials scale the delta/alpha components up at frontal-central channels and
 the gamma component down at temporal channels, so the generator is its own
 ground truth for the statistics and decoding stages.
 
-generate_trial returns one trial's samples; generate_dataset fills a float32
-Dataset with them, one thread per usable core.
+generate_trial returns one trial's samples; generate_dataset rounds each to
+float32 on data.map_trials's pool and fills a Dataset with them or, given a
+Welch config, a feature table with their spectral.welch_kernel rows, never
+holding the trial table.
 
 Determinism contract: every trial draws from its own generator seeded with
 seed XOR splitmix64(trial_id), and the domain label only multiplies
 amplitudes after all random draws, so trials can be generated in any order
 and label flips keep shared components identical. Hence the worker count (the
-process's CPU affinity, never a config key) cannot change a byte. A trial's
-BLAS products run in column blocks of at most 2**18 multiply-adds, which
-OpenBLAS computes on the calling thread: concurrent trials never wait on its
-thread server, and the float64 trial does not depend on BLAS's thread count.
+process's CPU affinity, never a config key) cannot change a byte of the
+samples or of the features. A trial's BLAS products, and the feature
+kernel's, run in column blocks of at most 2**18 multiply-adds, which OpenBLAS
+computes on the calling thread: concurrent trials never wait on its thread
+server, and the float64 values do not depend on BLAS's thread count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .codec import Schema
-from .data import N_CLASSES, AcquisitionSpec, Dataset
+from .data import N_CLASSES, AcquisitionSpec, Dataset, map_trials
+from .errors import NonFiniteSample
 from .model import SUPPRESSED_BANDS
 from .montage import Montage, Region, default_montage
-from .spectral import BandTable
+from .spectral import BandTable, FeatureSet, WelchConfig, _blocked_matmul, welch_kernel
 
 _MASK64 = (1 << 64) - 1
-_BLAS_BLOCK = 1 << 18  # OpenBLAS runs a GEMM of m*n*k <= 4 * 65536 on the calling thread
 
 # 500/512 Hz bin centers: a periodic-Hann Welch segment confines a
 # bin-centered sinusoid to +-1 bin, so components do not leak across bands
@@ -170,15 +171,6 @@ def _region_mask(montage: Montage, channel_names: tuple[str, ...], region: Regio
     return mask
 
 
-def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in column blocks of b of at most _BLAS_BLOCK multiply-adds each."""
-    out = np.empty((a.shape[0], b.shape[1]))
-    step = max(1, _BLAS_BLOCK // (a.shape[0] * a.shape[1]))
-    for j in range(0, b.shape[1], step):
-        np.matmul(a, b[:, j : j + step], out=out[:, j : j + step])
-    return out
-
-
 @lru_cache(maxsize=64)
 def _sin_cos_basis(freqs: tuple[float, ...], n_samples: int, sample_rate_hz: float):
     t = np.arange(n_samples) / sample_rate_hz
@@ -239,36 +231,40 @@ def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
     return samples
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def generate_dataset(config: SynthConfig) -> Dataset:
+def generate_dataset(config: SynthConfig, welch: WelchConfig | None = None):
     """N_CLASSES * n_trials_per_class trials of the default acquisition spec and
-    montage, classes round-robin, domains Bernoulli.
+    montage, classes round-robin, domains Bernoulli: the float32 Dataset or,
+    given `welch`, the FeatureSet of its extract_feature_set rounded to float32.
 
     A pure function of the config: per-trial generators are derived from
     config.seed, so trial order and prior draws cannot leak between trials.
-    A trial's error is raised as is, and trials not yet started are cancelled.
-    The class signatures must sit in the pass band (ValueError); the run
-    config also checks them against its bands.
+    A trial's error is raised as is (NonFiniteSample names a trial that is not
+    finite in float32), and trials not yet started are cancelled. The class
+    signatures must sit in the pass band (ValueError); the run config also
+    checks them against its bands.
     """
     montage = default_montage()
     spec = AcquisitionSpec()
     config.validate_against(spec)
-    names = montage.channel_names[: spec.n_channels]
-    trial_ids = np.arange(N_CLASSES * config.n_trials_per_class)
-    samples = np.empty((len(trial_ids), spec.n_channels, spec.n_samples), dtype=np.float32)
-    domains = np.empty(len(trial_ids), dtype=np.int64)
+    if welch is not None:
+        bin_freqs, log_psd = welch_kernel(spec, welch)
+    width = spec.n_samples if welch is None else len(bin_freqs)
+    table = np.empty((N_CLASSES * config.n_trials_per_class, spec.n_channels, width), np.float32)
+    trial_ids = np.arange(len(table))
+    domains = np.empty(len(table), dtype=np.int64)
 
     def fill(tid: int) -> None:
         rng = np.random.default_rng(trial_seed(config.seed, tid))
         domains[tid] = rng.random() < config.misarticulation_rate
-        samples[tid] = generate_trial(tid % N_CLASSES, domains[tid], config, montage, rng, spec)
+        trial = generate_trial(tid % N_CLASSES, domains[tid], config, montage, rng, spec)
+        trial = trial.astype(np.float32)
+        if not np.isfinite(trial).all():
+            raise NonFiniteSample(tid)
+        table[tid] = trial if welch is None else log_psd(trial)
 
-    with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
-        list(pool.map(fill, range(len(trial_ids))))  # map cancels the rest if one raises
-    return Dataset(spec, names, samples, trial_ids, trial_ids % N_CLASSES, domains)
+    map_trials(fill, len(table))
+    names = montage.channel_names[: spec.n_channels]
+    if welch is None:
+        return Dataset(spec, names, table, trial_ids, trial_ids % N_CLASSES, domains)
+    return FeatureSet(table, bin_freqs, spec.sample_rate_hz, names,
+                      trial_ids, trial_ids % N_CLASSES, domains)

@@ -1,11 +1,16 @@
 import json
+import os
+import resource
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eegintent
 from eegintent.cli import config_hash, default_run_config, load_run_config, main
 from eegintent.data import AcquisitionSpec, load_dataset, save_dataset
 from eegintent.spectral import BandTable, read_features
@@ -37,6 +42,18 @@ def tiny_config_path(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_capped(*argv):
+    """The CLI in a subprocess whose address space is capped at 2 GiB, so an
+    oversized allocation fails there instead of taking the machine's memory."""
+    cap = 2 << 30
+    env = {**os.environ, "PYTHONPATH": str(Path(eegintent.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "eegintent.cli", *argv], capture_output=True, text=True,
+        env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +348,27 @@ class TestExitCodes:
         assert code == 1
         assert "features: SignalTooShort" in capsys.readouterr().err
         assert not features.exists()
+
+    def test_huge_segment_named_before_allocating(self, tmp_path, tiny_features):
+        # 2**40 samples: a bin-index array of it alone would be 4 TiB
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"welch": {"segment_length": 2**40, "overlap": 0}}))
+        proc = run_capped("features", "--config", str(cfg_path), "--dataset",
+                          str(tiny_features.parent / "dataset.json"),
+                          "--out", str(tmp_path / "features.bin"))
+        assert proc.returncode == 1
+        assert "error: features: SignalTooShort: signal length 1500 < segment length" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_memory_error_named(self, tmp_path):
+        # 40 million trials: a 14 TiB trial table
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"synth": {"n_trials_per_class": 10_000_000}}))
+        proc = run_capped("synth", "--config", str(cfg_path), "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert "error: synth: OutOfMemory: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "dataset.json").exists()
 
     def test_cell_too_small_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

@@ -1,18 +1,19 @@
 import os
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from eegintent import synth
+from eegintent import data, synth
 from eegintent.cli import main
 from eegintent.data import AcquisitionSpec
-from eegintent.errors import UnknownChannel
+from eegintent.errors import NonFiniteSample, UnknownChannel
 from eegintent.montage import Region, default_montage
-from eegintent.spectral import BandTable, WelchConfig
+from eegintent.spectral import BandTable, WelchConfig, extract_feature_set
 from eegintent.synth import (
     SynthConfig,
     generate_dataset,
@@ -38,19 +39,22 @@ def patch_cores(monkeypatch, n):
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(synth, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(data, "ThreadPoolExecutor", RecordingPool)
     return sizes
 
 
-def fail_trial_5(monkeypatch, seed):
-    """Replace generate_trial: trial 5 raises UnknownChannel and every later
-    trial takes 0.3 s. Returns the set of trial ids that were started."""
+def fail_trial_5(monkeypatch, seed, nan=False):
+    """Replace generate_trial: trial 5 raises UnknownChannel (with nan=True, it
+    returns NaN samples) and every later trial takes 0.3 s. Returns the set of
+    trial ids that were started."""
     trial_of_seed = {trial_seed(seed, tid): tid for tid in range(200)}  # default size
     started = set()
 
     def fake_trial(class_label, misarticulated, config, montage, rng, spec):
         tid = trial_of_seed[rng.bit_generator.seed_seq.entropy]
         started.add(tid)
+        if tid == 5 and nan:
+            return np.full((spec.n_channels, spec.n_samples), np.nan)
         if tid == 5:
             raise UnknownChannel("channel 'Xz' is not in the montage")
         if tid > 5:
@@ -211,9 +215,9 @@ class TestGenerateDataset:
     def test_core_count_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert synth._usable_cores() == 3
+        assert data._usable_cores() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert synth._usable_cores() == 1
+        assert data._usable_cores() == 1
 
     def test_trial_error_raised_and_later_trials_cancelled(self, monkeypatch):
         patch_cores(monkeypatch, 2)
@@ -245,6 +249,64 @@ class TestGenerateDataset:
             SynthConfig(delta_gain_mis=0.5)
         with pytest.raises(ValueError, match="seed"):
             SynthConfig(seed=-1)
+
+
+class TestStreamedFeatures:
+    """generate_dataset with a Welch config: the features of each trial,
+    without the trial table."""
+
+    def test_equal_to_features_of_dataset_rounded(self):
+        cfg = SynthConfig(n_trials_per_class=3, seed=21)
+        dataset = generate_dataset(cfg)
+        expected = extract_feature_set(dataset, WelchConfig())
+        streamed = generate_dataset(cfg, WelchConfig())
+        assert streamed.values.dtype == np.float32
+        assert streamed.values.tobytes() == expected.values.astype(np.float32).tobytes()
+        assert streamed.bin_freqs_hz.tobytes() == expected.bin_freqs_hz.tobytes()
+        assert streamed.channel_names == dataset.channel_names
+        assert streamed.sample_rate_hz == dataset.spec.sample_rate_hz
+        for name in ("trial_ids", "class_labels", "domain_labels"):
+            assert getattr(streamed, name).tolist() == getattr(dataset, name).tolist()
+
+    def test_both_routes_same_bytes_at_any_worker_count(self, monkeypatch):
+        # with the interpreter switching threads as often as it can
+        cfg = SynthConfig(n_trials_per_class=2, seed=4)
+        runs = []
+        interval = sys.getswitchinterval()
+        for cores in (1, 3):
+            monkeypatch.setattr(data, "_usable_cores", lambda: cores)
+            sys.setswitchinterval(1e-6)
+            try:
+                dataset = generate_dataset(cfg)
+                features = extract_feature_set(dataset, WelchConfig()).values.astype(np.float32)
+                streamed = generate_dataset(cfg, WelchConfig()).values
+            finally:
+                sys.setswitchinterval(interval)
+            runs.append((dataset.samples.tobytes(), features.tobytes(), streamed.tobytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == runs[0][2]
+
+    def test_nan_trial_named_and_later_trials_cancelled(self, monkeypatch):
+        patch_cores(monkeypatch, 2)
+        started = fail_trial_5(monkeypatch, seed=0, nan=True)
+        with pytest.raises(NonFiniteSample, match="^trial 5: ") as info:
+            generate_dataset(SynthConfig(n_trials_per_class=3, seed=0), WelchConfig())
+        assert info.value.trial_id == 5
+        # two workers: only trials 6 and 7 can start before 8-11 are cancelled
+        assert 5 in started and max(started) <= 7
+
+    def test_peak_memory_below_trial_table(self, monkeypatch):
+        monkeypatch.setattr(data, "_usable_cores", lambda: 2)
+        cfg = SynthConfig()  # the default 200 trials
+        table_bytes = 4 * cfg.n_trials_per_class * SPEC.n_channels * SPEC.n_samples * 4
+        tracemalloc.start()
+        try:
+            features = generate_dataset(cfg, WelchConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # numpy's buffers are traced: the peak holds at least the feature table
+        assert features.values.nbytes < peak < table_bytes / 4
 
 
 class TestBlockedMatmul:
