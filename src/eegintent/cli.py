@@ -173,11 +173,10 @@ def _cmd_synth(cfg: dict, args) -> int:
 
 def _cmd_features(cfg: dict, args) -> int:
     welch = WelchConfig.from_dict(cfg["welch"])
-    features = extract_feature_set(load_dataset(args.dataset), welch, config_hash(cfg))
-    features = replace(features, values=features.values.astype(np.float32))
+    features = extract_feature_set(load_dataset(args.dataset), welch)
     out = Path(args.out or Path(cfg["out_dir"]) / "features.bin")
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_features(features, out)
+    write_features(features, out, config_hash=config_hash(cfg))
     print(
         f"wrote {out} ({features.n_trials} trials x {features.n_channels} "
         f"channels x {features.n_bins} bins)"
@@ -232,7 +231,7 @@ def _train_on(cfg: dict, train_set, mode: TrainMode):
 
 
 def _evaluate_on(params, scaler, test_set):
-    x = scaler.transform(test_set.flat()) if scaler is not None else test_set.flat()
+    x = scaler.transform(test_set.flat())
     return evaluate(params, x, test_set.class_labels, test_set.domain_labels)
 
 
@@ -287,7 +286,7 @@ def _comparison_table(mean_metrics: dict, n_seeds: int, chash: str) -> str:
         f"{'Model':<12}{'Accuracy':>10}{'F1 all':>10}{'F1 correct':>12}"
         f"{'F1 misartic.':>14}",
     ]
-    for mode in (TrainMode.BASELINE, TrainMode.MULTITASK):
+    for mode in TrainMode:
         m = mean_metrics[mode.value]
         lines.append(
             f"{mode.value:<12}{m['accuracy']:>10.1f}{m['f1_all']:>10.1f}"
@@ -309,7 +308,7 @@ def run_report(cfg: dict, n_seeds: int, out_dir: Path) -> dict:
             _write_maps(maps, out_dir / "topomaps", chash)
         train_set, test_set = _split(cfg, features)
         row: dict = {"seed": synth_cfg.seed}
-        for mode in (TrainMode.BASELINE, TrainMode.MULTITASK):
+        for mode in TrainMode:
             params, _, scaler, _ = _train_on(cfg, train_set, mode)
             row[mode.value] = _evaluate_on(params, scaler, test_set).to_dict()
         per_seed.append(row)
@@ -319,7 +318,7 @@ def run_report(cfg: dict, n_seeds: int, out_dir: Path) -> dict:
             metric: float(np.mean([row[mode.value][metric] for row in per_seed]))
             for metric in _METRICS
         }
-        for mode in (TrainMode.BASELINE, TrainMode.MULTITASK)
+        for mode in TrainMode
     }
     return {
         "config_hash": chash,
@@ -335,7 +334,7 @@ def _report_csv(payload: dict) -> str:
     # per-seed rows, then the mean rows with an empty n_test
     rows = [(row["seed"], row) for row in payload["per_seed"]] + [("mean", payload["mean"])]
     for seed, metrics in rows:
-        for mode in (TrainMode.BASELINE, TrainMode.MULTITASK):
+        for mode in TrainMode:
             m = metrics[mode.value]
             lines.append(
                 f"{seed},{mode.value},{m['accuracy']:.4f},{m['f1_all']:.4f},"

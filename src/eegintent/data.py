@@ -83,6 +83,20 @@ def _check_labels(trial_ids, class_labels, domain_labels):
     return ids, classes, domains
 
 
+def check_channel_names(names, n_channels: int) -> tuple[str, ...]:
+    """`names` as a tuple; ValueError unless it holds `n_channels` unique
+    strings, each a channel of the montage."""
+    names = check_value(names, tuple[str, ...], "channel_names")
+    if len(set(names)) != len(names):
+        raise ValueError("channel names must be unique")
+    if len(names) != n_channels:
+        raise ValueError(f"{len(names)} channel names for {n_channels} channels")
+    for name in names:
+        if name not in default_montage():
+            raise ValueError(f"channel {name!r} is not in the montage")
+    return names
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An acquisition spec, the channel ordering, and the trial table (see the
@@ -97,18 +111,8 @@ class Dataset:
     domain_labels: np.ndarray  # 1 = misarticulated
 
     def __post_init__(self):
-        object.__setattr__(self, "channel_names", tuple(self.channel_names))
-        montage = default_montage()
-        if len(set(self.channel_names)) != len(self.channel_names):
-            raise ValueError("channel names must be unique")
-        if len(self.channel_names) != self.spec.n_channels:
-            raise ValueError(
-                f"{len(self.channel_names)} channel names for "
-                f"{self.spec.n_channels} channels"
-            )
-        for name in self.channel_names:
-            if name not in montage:
-                raise ValueError(f"channel {name!r} is not in the montage")
+        names = check_channel_names(self.channel_names, self.spec.n_channels)
+        object.__setattr__(self, "channel_names", names)
         labels = _check_labels(self.trial_ids, self.class_labels, self.domain_labels)
         samples = np.ascontiguousarray(self.samples, dtype=np.float32).view()
         for name, array in zip(("samples", "trial_ids", "class_labels", "domain_labels"),

@@ -486,9 +486,10 @@ def save_model(
     params: ModelParams,
     config: ModelConfig,
     path,
-    mode: TrainMode = TrainMode.MULTITASK,
+    *,
+    mode: TrainMode,
+    scaler: FeatureScaler,
     config_hash: str | None = None,
-    scaler: FeatureScaler | None = None,
 ) -> None:
     """One JSON header line (config + shapes + scaler), then float32 weights."""
     layers = params.all_layers()
@@ -497,22 +498,21 @@ def save_model(
         "config_hash": config_hash,
         "mode": mode.value,
         "config": config.to_dict(),
-        "feature_scaling": scaler.to_dict() if scaler is not None else None,
+        "feature_scaling": scaler.to_dict(),
         "layer_shapes": [[list(layer.w.shape), list(layer.b.shape)] for layer in layers],
     }
     write_header_file(path, header, [a for layer in layers for a in (layer.w, layer.b)])
 
 
-def load_model(path) -> tuple[ModelParams, ModelConfig, TrainMode, FeatureScaler | None]:
+def load_model(path) -> tuple[ModelParams, ModelConfig, TrainMode, FeatureScaler]:
     """Read a file written by save_model; MalformedManifest unless the layer
     shapes match the config's dims, the scaler its input dim, and all is finite."""
     header, blob = read_header(path, MODEL_FORMAT, "model file")
     with header_fields(path):
         config = ModelConfig.from_dict(header["config"])
         mode = TrainMode(header["mode"])
-        scaling = header.get("feature_scaling")
-        scaler = FeatureScaler.from_dict(scaling) if scaling is not None else None
-        if scaler is not None and len(scaler.mean) != config.input_dim:
+        scaler = FeatureScaler.from_dict(header["feature_scaling"])
+        if len(scaler.mean) != config.input_dim:
             raise ValueError(f"feature_scaling has {len(scaler.mean)} entries for "
                              f"input dim {config.input_dim}")
         stacks = _stack_dims(config)

@@ -5,9 +5,8 @@ one-sided density scaling in microvolt^2 per Hz. welch_kernel computes it per
 trial at the kept bins only, its product in blocks that OpenBLAS runs on the
 calling thread, so a trial's features are the same at any worker or BLAS
 thread count. Its reference, one fft per segment over every bin, lives in
-tests/oracles.py. The last bits of the float64 values may depend on the BLAS
-build and CPU kernel, so the pipeline, `report` and the feature file alike,
-computes from them rounded to float32.
+tests/oracles.py. A feature set holds its values as float32, as the feature
+file does, on every route.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ from .codec import (
     unpack_floats,
     write_header_file,
 )
-from .data import AcquisitionSpec, Dataset, map_trials, parse_trial_entries, trial_entries
+from .data import (AcquisitionSpec, Dataset, check_channel_names, map_trials,
+                   parse_trial_entries, trial_entries)
 from .errors import EmptyBand, NonPowerOfTwoLength, SignalTooShort
 
 PSD_FLOOR = 1e-12  # microvolt^2/Hz, applied before log10
@@ -54,11 +54,6 @@ def _twiddles(m: int) -> np.ndarray:
     return w
 
 
-def _check_fft_length(n: int) -> None:
-    if n < 2 or n & (n - 1):
-        raise NonPowerOfTwoLength(f"FFT length must be a power of two >= 2, got {n}")
-
-
 def fft(x) -> np.ndarray:
     """Radix-2 decimation-in-time DFT along the last axis.
 
@@ -67,7 +62,8 @@ def fft(x) -> np.ndarray:
     """
     x = np.asarray(x)
     n = x.shape[-1]
-    _check_fft_length(n)
+    if n < 2 or n & (n - 1):
+        raise NonPowerOfTwoLength(f"FFT length must be a power of two >= 2, got {n}")
     y = np.ascontiguousarray(x[..., _bit_reversal(n)], dtype=np.complex128)
     m = 2
     while m <= n:
@@ -211,7 +207,6 @@ class FeatureSet:
     trial_ids: np.ndarray
     class_labels: np.ndarray
     domain_labels: np.ndarray  # 1 = misarticulated
-    config_hash: str | None = None
 
     @property
     def n_trials(self) -> int:
@@ -269,21 +264,20 @@ def welch_kernel(spec: AcquisitionSpec, config: WelchConfig):
     return freqs[keep], log_psd
 
 
-def extract_feature_set(dataset: Dataset, config: WelchConfig,
-                        config_hash: str | None = None) -> FeatureSet:
+def extract_feature_set(dataset: Dataset, config: WelchConfig) -> FeatureSet:
     """Per-channel Welch log10 PSD over the acquisition band, every trial
-    stacked: welch_kernel on each trial, on data.map_trials's pool."""
+    stacked as float32: welch_kernel on each trial, on data.map_trials's pool."""
     if len(dataset) == 0:
         raise ValueError("dataset has no trials")
     bin_freqs, log_psd = welch_kernel(dataset.spec, config)
-    values = np.empty((len(dataset), dataset.spec.n_channels, len(bin_freqs)))
+    values = np.empty((len(dataset), dataset.spec.n_channels, len(bin_freqs)), np.float32)
 
     def fill(i: int) -> None:
         values[i] = log_psd(dataset.samples[i])
 
     map_trials(fill, len(dataset))
     return FeatureSet(values, bin_freqs, dataset.spec.sample_rate_hz, dataset.channel_names,
-                      dataset.trial_ids, dataset.class_labels, dataset.domain_labels, config_hash)
+                      dataset.trial_ids, dataset.class_labels, dataset.domain_labels)
 
 
 def band_powers_from_features(
@@ -296,7 +290,7 @@ def band_powers_from_features(
     if len(bin_freqs) < 2:
         raise EmptyBand(f"need at least two feature bins for the bin width, got {len(bin_freqs)}")
     df = bin_freqs[1] - bin_freqs[0]
-    psd = 10.0 ** np.asarray(values, dtype=np.float64)
+    psd = np.power(10.0, values, dtype=np.float64)
     out = []
     for b in bands:
         mask = b.contains(bin_freqs)
@@ -308,14 +302,14 @@ def band_powers_from_features(
 
 # --- feature file --------------------------------------------------------
 
-def write_features(features: FeatureSet, path) -> None:
+def write_features(features: FeatureSet, path, config_hash: str | None = None) -> None:
     """Single-file format: one compact JSON header line, then a float32 blob.
 
     Blob layout is little-endian row-major [trial][channel][bin].
     """
     header = {
         "format": FEATURES_FORMAT,
-        "config_hash": features.config_hash,
+        "config_hash": config_hash,
         "n_trials": int(features.n_trials),
         "n_channels": int(features.n_channels),
         "n_bins": int(features.n_bins),
@@ -336,17 +330,15 @@ def read_features(path) -> FeatureSet:
     with header_fields(path):
         shape = (header["n_trials"], header["n_channels"], header["n_bins"])
         (values,) = unpack_floats(blob, [shape])
-        bin_freqs = np.array(header["bin_freqs_hz"], dtype=np.float64)
-        channel_names = header["channel_names"]
-        if bin_freqs.shape != shape[2:] or not np.isfinite(bin_freqs).all():
-            raise ValueError(f"bin_freqs_hz must be {shape[2]} finite frequencies")
-        if not isinstance(channel_names, list) or len(channel_names) != shape[1]:
-            raise ValueError(f"channel_names must list {shape[1]} channels")
+        bin_freqs = np.array(check_value(header["bin_freqs_hz"], tuple[float, ...], "bin_freqs_hz"))
+        if bin_freqs.shape != shape[2:] or (np.diff(bin_freqs) <= 0).any():
+            raise ValueError(f"bin_freqs_hz must be {shape[2]} increasing frequencies")
+        channel_names = check_channel_names(header["channel_names"], shape[1])
         trial_ids, class_labels, domain_labels = parse_trial_entries(header["trials"])
         if len(trial_ids) != shape[0]:
             raise ValueError(f"{len(trial_ids)} trial entries for {shape[0]} trials")
         sample_rate = float(check_value(header["sample_rate_hz"], float, "sample_rate_hz"))
         if sample_rate <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {sample_rate}")
-    return FeatureSet(values, bin_freqs, sample_rate, tuple(channel_names),
-                      trial_ids, class_labels, domain_labels, header.get("config_hash"))
+    return FeatureSet(values, bin_freqs, sample_rate, channel_names,
+                      trial_ids, class_labels, domain_labels)

@@ -38,9 +38,9 @@ from .spectral import BandTable, FeatureSet, WelchConfig, _blocked_matmul, welch
 
 _MASK64 = (1 << 64) - 1
 
-# 500/512 Hz bin centers: a periodic-Hann Welch segment confines a
-# bin-centered sinusoid to +-1 bin, so components do not leak across bands
-_BIN = 500.0 / 512.0
+# default Welch bin centers (500/512 Hz apart): a periodic-Hann segment confines
+# a bin-centered sinusoid to +-1 bin, so components do not leak across bands
+_BIN = AcquisitionSpec().sample_rate_hz / WelchConfig().segment_length
 DEFAULT_CLASS_FREQS = (
     (5 * _BIN, 16 * _BIN),   # 4.88 Hz theta + 15.63 Hz beta
     (6 * _BIN, 20 * _BIN),
@@ -234,7 +234,7 @@ def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
 def generate_dataset(config: SynthConfig, welch: WelchConfig | None = None):
     """N_CLASSES * n_trials_per_class trials of the default acquisition spec and
     montage, classes round-robin, domains Bernoulli: the float32 Dataset or,
-    given `welch`, the FeatureSet of its extract_feature_set rounded to float32.
+    given `welch`, the FeatureSet of its extract_feature_set.
 
     A pure function of the config: per-trial generators are derived from
     config.seed, so trial order and prior draws cannot leak between trials.

@@ -386,6 +386,29 @@ class TestExitCodes:
         assert code == 1
         assert "CellTooSmall" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("probe", ["list channel name", "duplicate channel name",
+                                       "reversed bin frequencies"])
+    def test_bad_feature_header_named_by_every_reader(self, tmp_path, tiny_features,
+                                                      tiny_config_path, capsys, probe):
+        head, _, blob = tiny_features.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        if probe == "list channel name":
+            header["channel_names"][0] = ["Fp1"]
+        elif probe == "duplicate channel name":
+            header["channel_names"][1] = header["channel_names"][0]
+        else:
+            header["bin_freqs_hz"] = header["bin_freqs_hz"][::-1]
+        features = tmp_path / "features.bin"
+        features.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        for stage in ("stats", "train"):
+            out = tmp_path / stage
+            code = run(stage, "--config", str(tiny_config_path), "--features", str(features),
+                       "--out", str(out))
+            err = capsys.readouterr().err
+            assert code == 1, stage
+            assert f"{stage}: MalformedManifest" in err and "features.bin" in err
+            assert "Traceback" not in err and not out.exists()
+
 
 class TestReport:
     def test_report_structure_and_determinism(self, tmp_path, tiny_config_path):

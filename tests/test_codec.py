@@ -58,10 +58,10 @@ def pinned_files(out: Path) -> dict:
     samples = (np.arange(3 * 32).reshape(3, 32) - 40.0 * ids[:, None, None]) / 8.0
     save_dataset(Dataset(spec, names, samples, ids, ids % 4, ids % 2), out / "set.json",
                  config_hash="ab" * 32)
-    values = np.arange(3 * 3 * 4, dtype=np.float64).reshape(3, 3, 4) / 16.0 - 1.0
+    values = np.arange(3 * 3 * 4, dtype=np.float32).reshape(3, 3, 4) / 16.0 - 1.0
     features = FeatureSet(values, np.array(FREQS), 32.0, names, np.array([0, 1, 2]),
-                          np.array([0, 1, 2]), np.array([0, 1, 0]), "cd" * 32)
-    write_features(features, out / "features.bin")
+                          np.array([0, 1, 2]), np.array([0, 1, 0]))
+    write_features(features, out / "features.bin", config_hash="cd" * 32)
     config = ModelConfig(n_channels=3, bin_freqs_hz=FREQS, encoder_dims=(5, 3),
                          class_head_dims=(4,), domain_head_dims=(2,), seed=4)
     dims = ((12, 5, 3), (3, 4), (3, 2))
@@ -112,6 +112,14 @@ def test_features_read_as_the_float32_blob(files):
     _, blob = header_and_blob(files["features.bin"])
     assert values.dtype == np.float32 and not values.flags.writeable
     assert values.tobytes() == blob
+
+
+def test_write_features_stamps_the_given_hash(files, tmp_path):
+    features = read_features(files["features.bin"])
+    for chash in ("01" * 32, None):
+        write_features(features, tmp_path / "again.bin", config_hash=chash)
+        assert header_and_blob(tmp_path / "again.bin")[0]["config_hash"] == chash
+    assert header_and_blob(files["features.bin"])[0]["config_hash"] == "cd" * 32
 
 
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path):
@@ -222,14 +230,18 @@ def corrupt_model(path: Path, defect: str) -> None:
         scaling["mean"], scaling["std"] = scaling["mean"][:-1], scaling["std"][:-1]
     elif defect == "scaler std":
         header["feature_scaling"]["std"][2] = 0.0
+    elif defect == "null scaler":  # no writer leaves the scaler out
+        header["feature_scaling"] = None
+    elif defect == "no scaler":
+        del header["feature_scaling"]
     elif defect == "negative dims in config":
         header["config"]["encoder_dims"] = [-5, 3]
     rewrite(path, header, weights.tobytes())
 
 
 @pytest.mark.parametrize("defect", ["inf", "negative shape", "swapped heads",
-                                    "scaler length", "scaler std",
-                                    "negative dims in config"])
+                                    "scaler length", "scaler std", "null scaler",
+                                    "no scaler", "negative dims in config"])
 def test_bad_model_file_named(files, capsys, defect):
     corrupt_model(files["model.bin"], defect)
     with pytest.raises(MalformedManifest):

@@ -72,6 +72,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate"):
             Dataset(ds.spec, ds.channel_names, ds.samples, [0, 0], [0, 0], [0, 0])
 
+    @pytest.mark.parametrize("names, message", [
+        ((["Fp1"], "Fp2", "F3", "F4"), r"channel_names\[0\] must be a str"),
+        (("Fp1", "Fp1", "F3", "F4"), "unique"),
+        (("Fp1", "Fp2", "F3"), "3 channel names for 4 channels"),
+        (("Fp1", "Fp2", "F3", "Xz"), "'Xz' is not in the montage"),
+    ])
+    def test_channel_names_checked(self, names, message):
+        ds = make_dataset(1)
+        with pytest.raises(ValueError, match=message):
+            Dataset(ds.spec, names, ds.samples, [0], [0], [0])
+
     def test_dimension_mismatch(self):
         ds = make_dataset(1)
         with pytest.raises(DimensionMismatch, match="trial 5"):

@@ -607,10 +607,9 @@ class TestModelFile:
         params, _ = train(x, yc, yd, toy_config(epochs=2, batch_size=4),
                           TrainMode.BASELINE)
         path = tmp_path / "model.bin"
-        save_model(params, cfg, path, mode=TrainMode.BASELINE)
-        loaded, _, mode, scaler = load_model(path)
+        save_model(params, cfg, path, mode=TrainMode.BASELINE, scaler=FeatureScaler.fit(x))
+        loaded, _, mode, _ = load_model(path)
         assert mode is TrainMode.BASELINE
-        assert scaler is None
         assert np.all(loaded.mask == 1.0)
 
 

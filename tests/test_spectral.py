@@ -16,6 +16,7 @@ from eegintent.spectral import (
     extract_feature_set,
     fft,
     ifft,
+    welch_kernel,
 )
 from eegintent.synth import SynthConfig, generate_dataset
 from oracles import band_power, welch_psd
@@ -243,12 +244,18 @@ class TestExtractFeatures:
         trials = synth_trials(spec.n_channels, offset=offset)
         assert trials[0].dtype == np.float32  # as load_dataset returns them
         cfg = WelchConfig(segment_length, overlap)
+        bin_freqs, log_psd = welch_kernel(spec, cfg)
         feats = extract_feature_set(dataset_of(trials, spec), cfg)
+        assert feats.values.dtype == np.float32
+        assert np.array_equal(feats.bin_freqs_hz, bin_freqs)
         for trial, values in zip(trials, feats.values):
-            for samples, row in zip(trial, values):
+            rows = log_psd(trial)
+            assert rows.dtype == np.float64
+            assert values.tobytes() == rows.astype(np.float32).tobytes()
+            for samples, row in zip(trial, rows):
                 psd, freqs = welch_psd(samples, cfg, FS)
                 keep = (freqs >= band[0]) & (freqs <= band[1])
-                assert np.array_equal(feats.bin_freqs_hz, freqs[keep])
+                assert np.array_equal(bin_freqs, freqs[keep])
                 assert np.abs(10.0**row / psd[keep] - 1.0).max() <= 1e-9
 
     def test_band_powers_from_features_match_direct(self):

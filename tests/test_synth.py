@@ -260,8 +260,8 @@ class TestStreamedFeatures:
         dataset = generate_dataset(cfg)
         expected = extract_feature_set(dataset, WelchConfig())
         streamed = generate_dataset(cfg, WelchConfig())
-        assert streamed.values.dtype == np.float32
-        assert streamed.values.tobytes() == expected.values.astype(np.float32).tobytes()
+        assert streamed.values.dtype == expected.values.dtype == np.float32
+        assert streamed.values.tobytes() == expected.values.tobytes()
         assert streamed.bin_freqs_hz.tobytes() == expected.bin_freqs_hz.tobytes()
         assert streamed.channel_names == dataset.channel_names
         assert streamed.sample_rate_hz == dataset.spec.sample_rate_hz
@@ -278,8 +278,9 @@ class TestStreamedFeatures:
             sys.setswitchinterval(1e-6)
             try:
                 dataset = generate_dataset(cfg)
-                features = extract_feature_set(dataset, WelchConfig()).values.astype(np.float32)
+                features = extract_feature_set(dataset, WelchConfig()).values
                 streamed = generate_dataset(cfg, WelchConfig()).values
+                assert features.dtype == streamed.dtype == np.float32
             finally:
                 sys.setswitchinterval(interval)
             runs.append((dataset.samples.tobytes(), features.tobytes(), streamed.tobytes()))
