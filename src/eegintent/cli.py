@@ -172,11 +172,12 @@ def _cmd_synth(cfg: dict, args) -> int:
 
 
 def _cmd_features(cfg: dict, args) -> int:
-    welch = WelchConfig.from_dict(cfg["welch"])
-    features = extract_feature_set(load_dataset(args.dataset), welch)
+    dataset = load_dataset(args.dataset)
+    features = extract_feature_set(dataset, WelchConfig.from_dict(cfg["welch"]))
     out = Path(args.out or Path(cfg["out_dir"]) / "features.bin")
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_features(features, out, config_hash=config_hash(cfg))
+    write_features(features, out, sample_rate_hz=dataset.spec.sample_rate_hz,
+                   config_hash=config_hash(cfg))
     print(
         f"wrote {out} ({features.n_trials} trials x {features.n_channels} "
         f"channels x {features.n_bins} bins)"

@@ -75,7 +75,8 @@ def _check_labels(trial_ids, class_labels, domain_labels):
     unique, counts = np.unique(ids, return_counts=True)
     if (counts > 1).any():
         raise ValueError(f"duplicate trial_id {unique[counts > 1][0]}")
-    for labels, name, n in ((classes, "class_label", N_CLASSES), (domains, "domain_label", 2)):
+    for labels, name, n in ((classes, "class_label", N_CLASSES),
+                            (domains, "domain_label", len(DOMAIN_NAMES))):
         bad = np.flatnonzero((labels < 0) | (labels >= n))
         if len(bad):
             raise ValueError(f"trial {ids[bad[0]]}: {name} must be in 0..{n - 1}, "
@@ -171,7 +172,7 @@ def parse_trial_entries(rows):
                         [DOMAIN_NAMES.index(name) for name in domains])
 
 
-def save_dataset(dataset: Dataset, path, config_hash: str | None = None) -> None:
+def save_dataset(dataset: Dataset, path, *, config_hash: str) -> None:
     """Write `path` (JSON manifest) plus a sibling .bin blob with all samples,
     each atomically, the blob first.
 

@@ -13,26 +13,23 @@ from .errors import EmptyTestSet
 from .model import ModelParams, forward
 
 
-def predict(params: ModelParams, features) -> np.ndarray | int:
-    """Argmax of the class logits; ties go to the lowest class index."""
-    class_logits, _, _, _ = forward(params, features)
-    if class_logits.ndim == 1:
-        return int(np.argmax(class_logits))
-    return np.argmax(class_logits, axis=1)
+def predict(params: ModelParams, features) -> np.ndarray:
+    """Argmax of the class logits per trial; ties go to the lowest class index."""
+    return np.argmax(forward(params, features)[0], axis=1)
 
 
-def confusion_matrix(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
+def confusion_matrix(y_true, y_pred) -> np.ndarray:
     """Counts of (true, predicted) class pairs, true classes as rows."""
-    pairs = n_classes * np.asarray(y_true, dtype=np.int64) + np.asarray(y_pred, dtype=np.int64)
-    return np.bincount(pairs, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
+    pairs = N_CLASSES * np.asarray(y_true, dtype=np.int64) + np.asarray(y_pred, dtype=np.int64)
+    return np.bincount(pairs, minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
 
 
-def macro_f1(y_true, y_pred, n_classes: int = N_CLASSES) -> tuple[float, tuple[int, ...]]:
+def macro_f1(y_true, y_pred) -> tuple[float, tuple[int, ...]]:
     """Macro-averaged F1 in percent, plus the classes absent from y_true.
 
     Absent classes contribute F1 = 0 to the average.
     """
-    m = confusion_matrix(y_true, y_pred, n_classes)
+    m = confusion_matrix(y_true, y_pred)
     tp = np.diag(m)
     fp = m.sum(axis=0) - tp
     fn = m.sum(axis=1) - tp
@@ -62,7 +59,6 @@ def evaluate(params: ModelParams, x, y_class, y_domain) -> EvalReport:
     f1_correct / f1_misarticulated are macro-F1 over the 4 classes on the
     domain-restricted subsets; a subset missing a class is flagged.
     """
-    x = np.asarray(x, dtype=np.float64)
     y_class = np.asarray(y_class, dtype=np.int64)
     y_domain = np.asarray(y_domain, dtype=np.int64)
     if len(x) == 0:

@@ -7,6 +7,10 @@ branch sees the feature vector with delta/alpha/gamma bins attenuated by a
 fixed gain, the domain branch sees it unmasked. The MMD penalty pulls the
 domain-branch embeddings of correct and misarticulated trials together.
 Total loss: l_class + lambda1 * l_domain + lambda2 * l_mmd.
+
+A step starts from z1, the first encoder layer's pre-activation, and returns
+the loss gradient at z1; the caller holding that layer computes z1 and uses
+the gradient (backward from the rows, train from its dense or span form).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .codec import (
     unpack_floats,
     write_header_file,
 )
-from .data import N_CLASSES
+from .data import DOMAIN_NAMES, N_CLASSES
 from .errors import EmptyGroup, NonFiniteLoss, ShapeMismatch
 from .spectral import BandTable
 
@@ -74,8 +78,8 @@ class ModelConfig(Schema):
                 raise ValueError(f"{name} must be one or more layer widths >= 1, got {dims}")
         if self.class_head_dims[-1] != N_CLASSES:
             raise ValueError(f"class_head_dims must end with {N_CLASSES} outputs")
-        if self.domain_head_dims[-1] != 2:
-            raise ValueError("domain_head_dims must end with 2 outputs")
+        if self.domain_head_dims[-1] != len(DOMAIN_NAMES):
+            raise ValueError(f"domain_head_dims must end with {len(DOMAIN_NAMES)} outputs")
         if not 0.0 <= self.gamma_sup <= 1.0:
             raise ValueError("gamma_sup must be in [0, 1]")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -187,38 +191,27 @@ def init_params(config: ModelConfig) -> ModelParams:
 
 # --- forward / loss ------------------------------------------------------
 
-def _stack_forward(layers: list[Layer], x, relu_last: bool, z=None):
-    """Output and (activations, pre-activations) cache of a stack on x; z,
-    when given, is the first layer's pre-activation, and x may be None."""
+def _stack_forward(layers: list[Layer], x, relu_last: bool):
+    """Output and (activations, pre-activations) cache of a stack on x."""
     acts, pre = [x], []
     for i, layer in enumerate(layers):
-        if i > 0 or z is None:
-            z = acts[-1] @ layer.w + layer.b
+        z = acts[-1] @ layer.w + layer.b
         pre.append(z)
         acts.append(np.maximum(z, 0.0) if (relu_last or i < len(layers) - 1) else z)
     return acts[-1], (acts, pre)
 
 
 def _stack_backward(layers, cache, d_out, relu_last: bool):
-    """Weight gradients and the gradient at the first layer's pre-activation;
-    no input gradient, which for the encoder would be an unused product. The
-    first weight gradient is None when the stack ran without its input."""
+    """Weight gradients and the loss gradient at the stack's input."""
     acts, pre = cache
     grads = [None] * len(layers)
     d = d_out
     for i in reversed(range(len(layers))):
         if relu_last or i < len(layers) - 1:
             d = d * (pre[i] > 0)
-        grads[i] = Layer(None if acts[i] is None else acts[i].T @ d, d.sum(axis=0))
-        if i > 0:
-            d = d @ layers[i].w.T
+        grads[i] = Layer(acts[i].T @ d, d.sum(axis=0))
+        d = d @ layers[i].w.T
     return grads, d
-
-
-def _head_backward(head: list[Layer], cache, d_logits):
-    """Head weight gradients and the loss gradient at the head's embedding."""
-    grads, d = _stack_backward(head, cache, d_logits, relu_last=False)
-    return grads, d @ head[0].w.T
 
 
 def _check_features(params: ModelParams, x: np.ndarray) -> None:
@@ -235,11 +228,20 @@ def _view_rows(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x if np.all(mask == 1.0) else np.vstack([x * mask, x])
 
 
-def _two_view_pass(params: ModelParams, rows, n: int, z1=None):
-    """One encoder pass for both views of n trials, on their _view_rows or
-    from z1, the first layer's pre-activation on them. Returns the forward()
-    outputs and the backward caches (shared, encoder, heads)."""
-    emb, enc_cache = _stack_forward(params.encoder, rows, relu_last=True, z=z1)
+def _first_layer(params: ModelParams, x):
+    """(rows, z1): the _view_rows of a [trials x inputs] batch and the first
+    encoder layer's pre-activation on them."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_features(params, x)
+    rows = _view_rows(params.mask, x)
+    return rows, rows @ params.encoder[0].w + params.encoder[0].b
+
+
+def _two_view_pass(params: ModelParams, z1, n: int):
+    """One encoder pass for both views of n trials from z1, the first encoder
+    layer's pre-activation on their _view_rows. Returns the forward() outputs
+    and the backward caches (shared, the later encoder layers, heads)."""
+    emb, enc_cache = _stack_forward(params.encoder[1:], np.maximum(z1, 0.0), relu_last=True)
     shared = len(emb) == n
     emb_class, emb_domain = emb[:n], emb[len(emb) - n :]
     class_logits, cls_cache = _stack_forward(params.class_head, emb_class, relu_last=False)
@@ -255,13 +257,10 @@ def forward(params: ModelParams, x):
     the domain branch on the raw features.
     """
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    xb = x[None, :] if squeeze else x
-    _check_features(params, xb)
-    outputs, _ = _two_view_pass(params, _view_rows(params.mask, xb), len(xb))
-    if squeeze:
-        return tuple(out[0] for out in outputs)
-    return outputs
+    xb = np.atleast_2d(x)
+    _, z1 = _first_layer(params, xb)
+    outputs, _ = _two_view_pass(params, z1, len(xb))
+    return tuple(out[0] for out in outputs) if x.ndim == 1 else outputs
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -325,22 +324,16 @@ class LossBreakdown:
     single_domain: bool = False
 
 
-def _loss_and_grads(params, x, y_class, y_domain, config, want_grads: bool):
-    x = np.asarray(x, dtype=np.float64)
-    _check_features(params, x)
-    y_class = np.asarray(y_class, dtype=np.int64)
-    y_domain = np.asarray(y_domain, dtype=np.int64)
-    grads, _, loss = _step(params, _view_rows(params.mask, x), y_class, y_domain,
-                           config, want_grads)
-    return grads, loss
+def _labels(y_class, y_domain):
+    return np.asarray(y_class, dtype=np.int64), np.asarray(y_domain, dtype=np.int64)
 
 
-def _step(params, rows, y_class, y_domain, config, want_grads: bool, z1=None):
-    """(grads, d1, loss) of one batch on its encoder rows, or from z1 (then
-    rows is None and the first encoder weight gradient None); d1 is the
-    gradient at the first encoder layer's pre-activation."""
+def _step(params, z1, y_class, y_domain, config):
+    """(grads, d1, loss) of one batch from z1, the first encoder layer's
+    pre-activation on its _view_rows: the gradients of every other layer,
+    and d1, the loss gradient at z1."""
     n = len(y_class)
-    (class_logits, domain_logits, _, emb_domain), caches = _two_view_pass(params, rows, n, z1)
+    (class_logits, domain_logits, _, emb_domain), caches = _two_view_pass(params, z1, n)
     shared, enc_cache, cls_cache, dom_cache = caches
 
     l_class = softmax_cross_entropy(class_logits, y_class)
@@ -360,38 +353,40 @@ def _step(params, rows, y_class, y_domain, config, want_grads: bool, z1=None):
         l_class + config.lambda1 * l_domain + config.lambda2 * l_mmd,
         single_domain,
     )
-    if not want_grads:
-        return None, None, loss
 
     # class path
     probs = np.exp(_log_softmax(class_logits))
     probs[np.arange(n), y_class] -= 1.0
-    cls_head_grads, d_emb_class = _head_backward(params.class_head, cls_cache, probs / n)
+    cls_head_grads, d_emb_class = _stack_backward(params.class_head, cls_cache, probs / n,
+                                                  relu_last=False)
 
     # domain path: weighted cross-entropy plus the MMD alignment term
     probs_d = np.exp(_log_softmax(domain_logits))
     probs_d[np.arange(n), y_domain] -= 1.0
-    dom_head_grads, d_emb_domain = _head_backward(
-        params.domain_head, dom_cache, config.lambda1 * probs_d / n
+    dom_head_grads, d_emb_domain = _stack_backward(
+        params.domain_head, dom_cache, config.lambda1 * probs_d / n, relu_last=False
     )
     if config.lambda2 != 0.0 and d_mmd is not None:
         d_emb_domain[order] += config.lambda2 * d_mmd
 
     # one encoder backward for both views, rows aligned with the forward pass
     d_emb = d_emb_class + d_emb_domain if shared else np.vstack([d_emb_class, d_emb_domain])
-    encoder_grads, d1 = _stack_backward(params.encoder, enc_cache, d_emb, relu_last=True)
-    return ModelParams(encoder_grads, cls_head_grads, dom_head_grads, params.mask), d1, loss
+    encoder_grads, d_h1 = _stack_backward(params.encoder[1:], enc_cache, d_emb, relu_last=True)
+    grads = ModelParams(encoder_grads, cls_head_grads, dom_head_grads, params.mask)
+    return grads, d_h1 * (z1 > 0), loss
 
 
 def compute_loss(params, x, y_class, y_domain, config: ModelConfig) -> LossBreakdown:
     """Eq.-style loss split; l_mmd is 0 (and flagged) for single-domain batches."""
-    _, loss = _loss_and_grads(params, x, y_class, y_domain, config, want_grads=False)
-    return loss
+    _, z1 = _first_layer(params, x)
+    return _step(params, z1, *_labels(y_class, y_domain), config)[2]
 
 
 def backward(params, x, y_class, y_domain, config: ModelConfig) -> ModelParams:
     """Analytic gradient of the total loss for every weight and bias."""
-    grads, _ = _loss_and_grads(params, x, y_class, y_domain, config, want_grads=True)
+    rows, z1 = _first_layer(params, x)
+    grads, d1, _ = _step(params, z1, *_labels(y_class, y_domain), config)
+    grads.encoder.insert(0, Layer(rows.T @ d1, d1.sum(axis=0)))
     return grads
 
 
@@ -407,7 +402,7 @@ def train(
     y_class,
     y_domain,
     config: ModelConfig,
-    mode: TrainMode = TrainMode.MULTITASK,
+    mode: TrainMode,
 ) -> tuple[ModelParams, list[LossBreakdown]]:
     """Mini-batch gradient descent, deterministic in config.seed.
 
@@ -416,8 +411,7 @@ def train(
     """
     cfg = effective_config(config, mode)
     x = np.asarray(x, dtype=np.float64)
-    y_class = np.asarray(y_class, dtype=np.int64)
-    y_domain = np.asarray(y_domain, dtype=np.int64)
+    y_class, y_domain = _labels(y_class, y_domain)
     n = len(x)
     if n == 0:
         raise ValueError("cannot train on an empty set")
@@ -433,9 +427,9 @@ def train(
 
 def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
     """Plain SGD keeps the first encoder layer at W_0 + R.T @ C for the M
-    _view_rows R of x. While M < input_dim, steps run on P0 = R @ W_0, the
-    Gram matrix R @ R.T and C, and W is formed once at the end; else W is
-    updated densely."""
+    _view_rows R of x. While M < input_dim, a step takes the first layer's
+    pre-activation from P0 = R @ W_0, the Gram matrix R @ R.T and C, and W
+    is formed once at the end; else it takes R @ W and W is updated densely."""
     (n, dim), first, lr = x.shape, params.encoder[0], cfg.learning_rate
     rows = _view_rows(params.mask, x)
     m = len(rows)
@@ -450,18 +444,21 @@ def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
             batch = perm[start : start + cfg.batch_size]
             r = batch if m == n else np.concatenate([batch, batch + n])
             if span:
-                view, z1 = None, p0[r] + gram[r] @ coef + first.b
+                z1 = p0[r] + gram[r] @ coef + first.b
             else:
-                view, z1 = rows[r], None
-            grads, d1, loss = _step(params, view, y_class[batch], y_domain[batch], cfg, True, z1)
+                view = rows[r]
+                z1 = view @ first.w + first.b
+            grads, d1, loss = _step(params, z1, y_class[batch], y_domain[batch], cfg)
             if not np.isfinite(loss.l_total):
                 raise NonFiniteLoss(epoch)
-            for layer, grad in zip(params.all_layers(), grads.all_layers()):
-                if grad.w is not None:
-                    layer.w -= np.multiply(grad.w, lr, out=grad.w)  # no temporary
+            for layer, grad in zip(params.all_layers()[1:], grads.all_layers()):
+                layer.w -= np.multiply(grad.w, lr, out=grad.w)  # no temporary
                 layer.b -= np.multiply(grad.b, lr, out=grad.b)
+            first.b -= lr * d1.sum(axis=0)
             if span:
                 coef[r] -= lr * d1
+            else:
+                first.w -= lr * (view.T @ d1)
             sums += np.array([loss.l_class, loss.l_domain, loss.l_mmd]) * len(batch)
             any_single = any_single or loss.single_domain
         l_class, l_domain, l_mmd = sums / n  # the batches cover every row once
@@ -489,7 +486,7 @@ def save_model(
     *,
     mode: TrainMode,
     scaler: FeatureScaler,
-    config_hash: str | None = None,
+    config_hash: str,
 ) -> None:
     """One JSON header line (config + shapes + scaler), then float32 weights."""
     layers = params.all_layers()

@@ -36,42 +36,30 @@ FEATURES_FORMAT = "eegintent-features-v1"
 
 # --- FFT -----------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-@lru_cache(maxsize=32)
-def _twiddles(m: int) -> np.ndarray:
-    w = np.exp(-2j * np.pi * np.arange(m // 2) / m)
-    w.flags.writeable = False
-    return w
-
-
 def fft(x) -> np.ndarray:
     """Radix-2 decimation-in-time DFT along the last axis.
 
     Forward convention exp(-2*pi*i*k*n/N), no normalization. The length must
-    be a power of two (NonPowerOfTwoLength otherwise).
+    be a power of two (NonPowerOfTwoLength otherwise). The pipeline runs it
+    once per process, to build the cached kept-bin basis of the Welch kernel.
     """
     x = np.asarray(x)
     n = x.shape[-1]
     if n < 2 or n & (n - 1):
         raise NonPowerOfTwoLength(f"FFT length must be a power of two >= 2, got {n}")
-    y = np.ascontiguousarray(x[..., _bit_reversal(n)], dtype=np.complex128)
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.int64)  # bit-reversed indices
+    for _ in range(n.bit_length() - 1):
+        rev = (rev << 1) | (idx & 1)
+        idx >>= 1
+    y = np.ascontiguousarray(x[..., rev], dtype=np.complex128)
     m = 2
     while m <= n:
         half = m // 2
         blocks = y.reshape(-1, n // m, m)
         even = blocks[..., :half]
         odd = blocks[..., half:]
-        t = odd * _twiddles(m)
+        t = odd * np.exp(-2j * np.pi * np.arange(half) / m)
         np.subtract(even, t, out=odd)
         np.add(even, t, out=even)
         m *= 2
@@ -157,10 +145,11 @@ class BandTable:
 
     def __post_init__(self):
         object.__setattr__(self, "bands", tuple(self.bands))
-        prev_high = None
+        spec, prev_high = AcquisitionSpec(), None
         for b in self.bands:
-            if not (1.0 <= b.low_hz < b.high_hz <= 50.0):
-                raise ValueError(f"{b.name}: [{b.low_hz}, {b.high_hz}) is not inside [1, 50] Hz")
+            if not (spec.band_low_hz <= b.low_hz < b.high_hz <= spec.band_high_hz):
+                raise ValueError(f"{b.name}: [{b.low_hz}, {b.high_hz}) is not inside "
+                                 f"[{spec.band_low_hz:g}, {spec.band_high_hz:g}] Hz")
             if prev_high is not None and b.low_hz < prev_high:
                 raise ValueError(f"{b.name} overlaps or reorders the previous band")
             prev_high = b.high_hz
@@ -202,7 +191,6 @@ class FeatureSet:
 
     values: np.ndarray
     bin_freqs_hz: np.ndarray
-    sample_rate_hz: float
     channel_names: tuple[str, ...]
     trial_ids: np.ndarray
     class_labels: np.ndarray
@@ -276,8 +264,8 @@ def extract_feature_set(dataset: Dataset, config: WelchConfig) -> FeatureSet:
         values[i] = log_psd(dataset.samples[i])
 
     map_trials(fill, len(dataset))
-    return FeatureSet(values, bin_freqs, dataset.spec.sample_rate_hz, dataset.channel_names,
-                      dataset.trial_ids, dataset.class_labels, dataset.domain_labels)
+    return FeatureSet(values, bin_freqs, dataset.channel_names, dataset.trial_ids,
+                      dataset.class_labels, dataset.domain_labels)
 
 
 def band_powers_from_features(
@@ -302,8 +290,9 @@ def band_powers_from_features(
 
 # --- feature file --------------------------------------------------------
 
-def write_features(features: FeatureSet, path, config_hash: str | None = None) -> None:
-    """Single-file format: one compact JSON header line, then a float32 blob.
+def write_features(features: FeatureSet, path, *, sample_rate_hz: float, config_hash: str) -> None:
+    """Single-file format: one compact JSON header line, stamped with the
+    sample rate of the recording the features came from, then a float32 blob.
 
     Blob layout is little-endian row-major [trial][channel][bin].
     """
@@ -313,7 +302,7 @@ def write_features(features: FeatureSet, path, config_hash: str | None = None) -
         "n_trials": int(features.n_trials),
         "n_channels": int(features.n_channels),
         "n_bins": int(features.n_bins),
-        "sample_rate_hz": features.sample_rate_hz,
+        "sample_rate_hz": sample_rate_hz,
         "bin_freqs_hz": [float(f) for f in features.bin_freqs_hz],
         "channel_names": list(features.channel_names),
         "trials": trial_entries(features.trial_ids, features.class_labels,
@@ -340,5 +329,4 @@ def read_features(path) -> FeatureSet:
         sample_rate = float(check_value(header["sample_rate_hz"], float, "sample_rate_hz"))
         if sample_rate <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {sample_rate}")
-    return FeatureSet(values, bin_freqs, sample_rate, channel_names,
-                      trial_ids, class_labels, domain_labels)
+    return FeatureSet(values, bin_freqs, channel_names, trial_ids, class_labels, domain_labels)

@@ -119,7 +119,7 @@ def welch_t_test(a, b) -> TTestResult:
     return TTestResult(t[()], df[()], p[()])
 
 
-def bh_fdr(p_values, alpha: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
+def bh_fdr(p_values, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Benjamini-Hochberg step-up: (adjusted p-values, reject flags).
 
     adjusted[i] = min over ranks j >= rank(i) of m * p_(j) / j, clamped to 1;
@@ -160,7 +160,7 @@ def band_topomaps(
     channel_names,
     montage: Montage,
     bands: BandTable,
-    alpha: float = 0.05,
+    alpha: float,
 ) -> list[TTestMap]:
     """Welch t-tests on log10 band power for every band x channel cell.
 
@@ -263,9 +263,9 @@ def render_topomap_svg(tmap: TTestMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def topomap_csv(tmap: TTestMap, config_hash: str | None = None) -> str:
+def topomap_csv(tmap: TTestMap, *, config_hash: str) -> str:
     """Delimited per-channel rows for one band map, deterministic text."""
-    lines = [f"# band={tmap.band} alpha={tmap.alpha:g} config_hash={config_hash or ''}"]
+    lines = [f"# band={tmap.band} alpha={tmap.alpha:g} config_hash={config_hash}"]
     lines.append("channel,x,y,t,p_raw,p_adjusted,significant")
     for i, name in enumerate(tmap.channels):
         lines.append(

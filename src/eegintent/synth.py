@@ -266,5 +266,4 @@ def generate_dataset(config: SynthConfig, welch: WelchConfig | None = None):
     names = montage.channel_names[: spec.n_channels]
     if welch is None:
         return Dataset(spec, names, table, trial_ids, trial_ids % N_CLASSES, domains)
-    return FeatureSet(table, bin_freqs, spec.sample_rate_hz, names,
-                      trial_ids, trial_ids % N_CLASSES, domains)
+    return FeatureSet(table, bin_freqs, names, trial_ids, trial_ids % N_CLASSES, domains)

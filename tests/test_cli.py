@@ -264,11 +264,14 @@ class TestExitCodes:
         tiny = load_dataset(tiny_features.parent / "dataset.json")
         spec = AcquisitionSpec(sample_rate_hz=250.0, n_channels=32, trial_seconds=6.0)
         save_dataset(replace(tiny, spec=spec, channel_names=tiny.channel_names[:32],
-                             samples=tiny.samples[:, :32]), tmp_path / "set.json")
+                             samples=tiny.samples[:, :32]), tmp_path / "set.json",
+                     config_hash="")
         features = tmp_path / "features.bin"
         assert run("features", "--dataset", str(tmp_path / "set.json"),
                    "--out", str(features)) == 0
         assert read_features(features).flat().shape[1] == 3200
+        # the writer stamps the dataset's rate, not the default 500 Hz
+        assert json.loads(features.read_bytes().split(b"\n", 1)[0])["sample_rate_hz"] == 250.0
         out = tmp_path / "eval.json"
         assert run("eval", "--features", str(features), "--model", str(model),
                    "--out", str(out)) == 1

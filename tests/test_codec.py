@@ -59,9 +59,9 @@ def pinned_files(out: Path) -> dict:
     save_dataset(Dataset(spec, names, samples, ids, ids % 4, ids % 2), out / "set.json",
                  config_hash="ab" * 32)
     values = np.arange(3 * 3 * 4, dtype=np.float32).reshape(3, 3, 4) / 16.0 - 1.0
-    features = FeatureSet(values, np.array(FREQS), 32.0, names, np.array([0, 1, 2]),
+    features = FeatureSet(values, np.array(FREQS), names, np.array([0, 1, 2]),
                           np.array([0, 1, 2]), np.array([0, 1, 0]))
-    write_features(features, out / "features.bin", config_hash="cd" * 32)
+    write_features(features, out / "features.bin", sample_rate_hz=32.0, config_hash="cd" * 32)
     config = ModelConfig(n_channels=3, bin_freqs_hz=FREQS, encoder_dims=(5, 3),
                          class_head_dims=(4,), domain_head_dims=(2,), seed=4)
     dims = ((12, 5, 3), (3, 4), (3, 2))
@@ -117,7 +117,7 @@ def test_features_read_as_the_float32_blob(files):
 def test_write_features_stamps_the_given_hash(files, tmp_path):
     features = read_features(files["features.bin"])
     for chash in ("01" * 32, None):
-        write_features(features, tmp_path / "again.bin", config_hash=chash)
+        write_features(features, tmp_path / "again.bin", sample_rate_hz=32.0, config_hash=chash)
         assert header_and_blob(tmp_path / "again.bin")[0]["config_hash"] == chash
     assert header_and_blob(files["features.bin"])[0]["config_hash"] == "cd" * 32
 

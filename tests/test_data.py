@@ -106,7 +106,7 @@ class TestRoundTrip:
     def test_round_trip_bit_exact(self, tmp_path):
         ds = make_dataset(8)
         path = tmp_path / "set.json"
-        save_dataset(ds, path)
+        save_dataset(ds, path, config_hash="")
         loaded = load_dataset(path)
         assert loaded.spec == ds.spec
         assert loaded.channel_names == ds.channel_names
@@ -118,8 +118,8 @@ class TestRoundTrip:
 
     def test_second_save_identical_bytes(self, tmp_path):
         ds = make_dataset(5)
-        save_dataset(ds, tmp_path / "a.json")
-        save_dataset(ds, tmp_path / "b.json")
+        save_dataset(ds, tmp_path / "a.json", config_hash="")
+        save_dataset(ds, tmp_path / "b.json", config_hash="")
         a = (tmp_path / "a.bin").read_bytes()
         b = (tmp_path / "b.bin").read_bytes()
         assert a == b
@@ -128,7 +128,7 @@ class TestRoundTrip:
         ds = Dataset(tiny_spec(), default_montage().channel_names[:4], np.zeros((0, 4, 32)),
                      [], [], [])
         path = tmp_path / "empty.json"
-        save_dataset(ds, path)
+        save_dataset(ds, path, config_hash="")
         manifest = json.loads(path.read_text())
         assert manifest["trials"] == []
         assert len(load_dataset(path)) == 0
@@ -136,7 +136,7 @@ class TestRoundTrip:
     def test_unwritable_directory(self, tmp_path):
         ds = make_dataset(1)
         with pytest.raises(IoFailure):
-            save_dataset(ds, tmp_path / "missing_dir" / "set.json")
+            save_dataset(ds, tmp_path / "missing_dir" / "set.json", config_hash="")
 
 
 class TestLoadErrors:
@@ -147,7 +147,7 @@ class TestLoadErrors:
     def test_missing_blob(self, tmp_path):
         ds = make_dataset(2)
         path = tmp_path / "set.json"
-        save_dataset(ds, path)
+        save_dataset(ds, path, config_hash="")
         (tmp_path / "set.bin").unlink()
         with pytest.raises(MissingFile):
             load_dataset(path)
@@ -167,7 +167,7 @@ class TestLoadErrors:
     def test_blob_length_mismatch_names_trial(self, tmp_path):
         ds = make_dataset(2)
         path = tmp_path / "set.json"
-        save_dataset(ds, path)
+        save_dataset(ds, path, config_hash="")
         manifest = json.loads(path.read_text())
         # manifest declares 4x32 samples; shrink trial 1's blob span
         manifest["trials"][1]["byte_length"] -= 4 * 32
@@ -180,7 +180,7 @@ class TestLoadErrors:
         # save_dataset's layout is required: one blob file, trial i at i * trial bytes
         ds = make_dataset(3)
         path = tmp_path / "set.json"
-        save_dataset(ds, path)
+        save_dataset(ds, path, config_hash="")
         (tmp_path / "other.bin").write_bytes((tmp_path / "set.bin").read_bytes())
         manifest = json.loads(path.read_text())
         manifest["trials"][2][key] = value
@@ -191,7 +191,7 @@ class TestLoadErrors:
     def test_truncated_blob_names_trial(self, tmp_path):
         ds = make_dataset(3)
         path = tmp_path / "set.json"
-        save_dataset(ds, path)
+        save_dataset(ds, path, config_hash="")
         blob_path = tmp_path / "set.bin"
         blob_path.write_bytes(blob_path.read_bytes()[: 4 * 4 * 32 + 10])
         with pytest.raises(DimensionMismatch, match="trial 1"):
@@ -200,7 +200,7 @@ class TestLoadErrors:
     def test_non_finite_blob_names_trial(self, tmp_path):
         ds = make_dataset(2)
         path = tmp_path / "set.json"
-        save_dataset(ds, path)
+        save_dataset(ds, path, config_hash="")
         blob_path = tmp_path / "set.bin"
         raw = bytearray(blob_path.read_bytes())
         offset = json.loads(path.read_text())["trials"][1]["byte_offset"]

@@ -22,11 +22,11 @@ def logit_params(bias):
 class TestPredict:
     def test_tie_goes_to_lowest_index(self):
         params = logit_params(np.zeros(4))
-        assert predict(params, np.zeros(4)) == 0
+        assert predict(params, np.zeros((1, 4))).tolist() == [0]
 
     def test_argmax(self):
         params = logit_params(np.zeros(4))
-        assert predict(params, np.array([1.0, 3.0, 2.0, 0.0])) == 1
+        assert predict(params, np.array([[1.0, 3.0, 2.0, 0.0]])).tolist() == [1]
 
     def test_constant_shift_invariance(self):
         x = np.array([[0.3, 1.9, 0.3, 1.2], [2.0, 0.1, 0.4, 0.0]])
@@ -37,10 +37,11 @@ class TestPredict:
 
 class TestMacroF1:
     def test_two_class_worked_example(self):
-        # predictions [A,A,B] against truth [A,B,B]
-        score, missing = macro_f1([0, 1, 1], [0, 0, 1], n_classes=2)
-        assert score == pytest.approx(100 * 2 / 3, abs=1e-9)
-        assert missing == ()
+        # predictions [0,0,1] against truth [0,1,1]: F1 2/3 for classes 0 and
+        # 1, and 0 for the absent classes 2 and 3 of the four
+        score, missing = macro_f1([0, 1, 1], [0, 0, 1])
+        assert score == pytest.approx(100 * (2 / 3 + 2 / 3 + 0 + 0) / 4, abs=1e-9)
+        assert missing == (2, 3)
 
     def test_all_one_class_on_balanced_four(self):
         y_true = np.repeat(np.arange(4), 5)

@@ -455,18 +455,23 @@ def assert_close_rel(actual, reference, tol):
 
 
 def spy_dense_steps(monkeypatch):
-    """Count the steps fed encoder rows; the coefficient form feeds none."""
+    """The steps that see the first encoder weights moved from their value
+    at the first step: the coefficient form keeps them there until training
+    ends, the dense form updates them every step."""
     import eegintent.model as model
 
-    calls = []
+    calls, first = [], []
     real = model._step
 
-    def counting(params, rows, *args):
-        if rows is not None:
-            calls.append(rows)
-        return real(params, rows, *args)
+    def recording(params, *args):
+        w = params.encoder[0].w
+        if not first:
+            first.append(w.copy())
+        elif not np.array_equal(w, first[0]):
+            calls.append(w.copy())
+        return real(params, *args)
 
-    monkeypatch.setattr(model, "_step", counting)
+    monkeypatch.setattr(model, "_step", recording)
     return calls
 
 
@@ -522,7 +527,8 @@ class TestSpanTrain:
         cfg = toy_config(n_channels=4)
         n = shape[0]
         with pytest.raises(ShapeMismatch):
-            train(np.zeros(shape), np.zeros(n, dtype=int), np.arange(n) % 2, cfg)
+            train(np.zeros(shape), np.zeros(n, dtype=int), np.arange(n) % 2, cfg,
+                  TrainMode.MULTITASK)
 
 
 class TestTrain:
@@ -607,7 +613,8 @@ class TestModelFile:
         params, _ = train(x, yc, yd, toy_config(epochs=2, batch_size=4),
                           TrainMode.BASELINE)
         path = tmp_path / "model.bin"
-        save_model(params, cfg, path, mode=TrainMode.BASELINE, scaler=FeatureScaler.fit(x))
+        save_model(params, cfg, path, mode=TrainMode.BASELINE, scaler=FeatureScaler.fit(x),
+                   config_hash="deadbeef")
         loaded, _, mode, _ = load_model(path)
         assert mode is TrainMode.BASELINE
         assert np.all(loaded.mask == 1.0)

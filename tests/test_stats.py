@@ -182,8 +182,8 @@ class TestBandTopomaps:
         rng = np.random.default_rng(3)
         a = toy_band_powers(rng, 20)
         b = toy_band_powers(rng, 30)
-        fwd = band_topomaps(a, b, self.channels, default_montage(), BandTable())
-        rev = band_topomaps(b, a, self.channels, default_montage(), BandTable())
+        fwd = band_topomaps(a, b, self.channels, default_montage(), BandTable(), 0.05)
+        rev = band_topomaps(b, a, self.channels, default_montage(), BandTable(), 0.05)
         for m1, m2 in zip(fwd, rev):
             assert np.allclose(m1.t, -m2.t)
             assert np.allclose(m1.p_raw, m2.p_raw)
@@ -198,6 +198,7 @@ class TestBandTopomaps:
                 self.channels,
                 default_montage(),
                 BandTable(),
+                0.05,
             )
 
     def test_planted_effect_found(self):
@@ -206,7 +207,7 @@ class TestBandTopomaps:
         shift[2, 0] = 4.0  # channel 2, delta band
         correct = toy_band_powers(rng, 80)
         mis = toy_band_powers(rng, 80, shift=shift)
-        maps = band_topomaps(correct, mis, self.channels, default_montage(), BandTable())
+        maps = band_topomaps(correct, mis, self.channels, default_montage(), BandTable(), 0.05)
         delta = maps[0]
         assert delta.significant[2] and delta.t[2] > 0
         total_sig = sum(int(m.significant.sum()) for m in maps)
@@ -220,7 +221,7 @@ class TestBandTopomaps:
             a = toy_band_powers(rng, 40, n_channels=10)
             b = toy_band_powers(rng, 25, n_channels=10)
             maps = band_topomaps(a, b, default_montage().channel_names[:10],
-                                 default_montage(), BandTable())
+                                 default_montage(), BandTable(), 0.05)
             pooled.extend(np.concatenate([m.p_raw for m in maps]))
         pooled = np.sort(pooled)
         n = len(pooled)

@@ -264,7 +264,6 @@ class TestStreamedFeatures:
         assert streamed.values.tobytes() == expected.values.tobytes()
         assert streamed.bin_freqs_hz.tobytes() == expected.bin_freqs_hz.tobytes()
         assert streamed.channel_names == dataset.channel_names
-        assert streamed.sample_rate_hz == dataset.spec.sample_rate_hz
         for name in ("trial_ids", "class_labels", "domain_labels"):
             assert getattr(streamed, name).tolist() == getattr(dataset, name).tolist()
 
