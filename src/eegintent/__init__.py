@@ -12,7 +12,6 @@ from .data import (
 )
 from .evaluation import EvalReport, evaluate, macro_f1, predict
 from .model import (
-    BandTable,
     FeatureScaler,
     LossBreakdown,
     ModelConfig,
@@ -27,6 +26,7 @@ from .model import (
 )
 from .montage import Montage, Region, default_montage
 from .spectral import (
+    BandTable,
     FeatureSet,
     WelchConfig,
     extract_feature_set,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .codec import Schema, write_text
 from .data import (
-    AcquisitionSpec,
     SplitConfig,
     load_dataset,
     save_dataset,
@@ -28,6 +27,7 @@ from .data import (
 from .errors import OutOfMemory, PipelineError, ShapeMismatch
 from .evaluation import evaluate
 from .model import (
+    SUPPRESSED_BANDS,
     FeatureScaler,
     ModelConfig,
     TrainMode,
@@ -99,20 +99,25 @@ class RunConfig(Schema):
                 raise ValueError(f"model.{key} is not a known key")
         object.__setattr__(self, "model", {**defaults, **self.model})
         try:  # the data sets the real shape
-            _model_config(self.to_dict(), 1, [1.0])
+            _model_config(self, 1, [1.0])
         except ValueError as exc:
             raise ValueError(f"model.{exc}") from None
-        try:  # the decoder's mask must not suppress class evidence
-            self.synth.validate_against(AcquisitionSpec(), self.bands)
-        except ValueError as exc:
-            raise ValueError(f"synth.class_signature_freqs_hz: {exc}") from None
+        # the decoder's mask must not suppress class evidence
+        suppressed = [self.bands.get(name) for name in SUPPRESSED_BANDS]
+        for class_label, freqs in enumerate(self.synth.class_signature_freqs_hz):
+            for f in freqs:
+                for band in suppressed:
+                    if band.contains(f):
+                        raise ValueError(
+                            f"synth.class_signature_freqs_hz: class {class_label} signature "
+                            f"{f:g} Hz falls in the suppressed {band.name} band")
 
 
 def default_run_config() -> dict:
     return RunConfig().to_dict()
 
 
-def load_run_config(path: str | None, args=None) -> dict:
+def load_run_config(path: str | None, args=None) -> RunConfig:
     """The defaults with the file's values merged in, then the parsed flags in
     `args` that override a config value (--seed, --alpha, --seeds), every
     value checked and hashed alike: an unknown key or a bad value is a
@@ -133,48 +138,44 @@ def load_run_config(path: str | None, args=None) -> dict:
         value = getattr(args, key, None)
         if value is not None and isinstance(user.get(section, {}), dict):
             user[section] = {**user.get(section, {}), key: value}
-    return RunConfig.from_dict(user).to_dict()
+    return RunConfig.from_dict(user)
 
 
-def config_hash(cfg: dict) -> str:
-    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+def config_hash(cfg: RunConfig) -> str:
+    canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _model_config(cfg: dict, n_channels: int, bin_freqs) -> ModelConfig:
-    return ModelConfig.from_dict({
-        **cfg["model"],
-        "n_channels": n_channels,
-        "bin_freqs_hz": bin_freqs,
-        "bands": cfg["bands"],
-    })
+def _model_config(cfg: RunConfig, n_channels: int, bin_freqs) -> ModelConfig:
+    # RunConfig has checked the section's keys and merged in the defaults
+    return ModelConfig(n_channels=n_channels, bin_freqs_hz=bin_freqs, bands=cfg.bands,
+                       **cfg.model)
 
 
-def _split(cfg: dict, features):
+def _split(cfg: RunConfig, features):
     """The config's (train, test) subsets of a feature set."""
-    split = SplitConfig.from_dict(cfg["split"])
     indices = stratified_split_indices(
-        features.class_labels, features.domain_labels, split.test_fraction, split.seed
+        features.class_labels, features.domain_labels, cfg.split.test_fraction, cfg.split.seed
     )
     return tuple(features.subset(i) for i in indices)
 
 
 # --- subcommands ----------------------------------------------------------
 
-def _cmd_synth(cfg: dict, args) -> int:
-    out_dir = Path(args.out or cfg["out_dir"])
+def _cmd_synth(cfg: RunConfig, args) -> int:
+    out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = generate_dataset(SynthConfig.from_dict(cfg["synth"]))
+    dataset = generate_dataset(cfg.synth)
     manifest = out_dir / "dataset.json"
     save_dataset(dataset, manifest, config_hash=config_hash(cfg))
     print(f"wrote {manifest} ({len(dataset)} trials)")
     return 0
 
 
-def _cmd_features(cfg: dict, args) -> int:
+def _cmd_features(cfg: RunConfig, args) -> int:
     dataset = load_dataset(args.dataset)
-    features = extract_feature_set(dataset, WelchConfig.from_dict(cfg["welch"]))
-    out = Path(args.out or Path(cfg["out_dir"]) / "features.bin")
+    features = extract_feature_set(dataset, cfg.welch)
+    out = Path(args.out or Path(cfg.out_dir) / "features.bin")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_features(features, out, sample_rate_hz=dataset.spec.sample_rate_hz,
                    config_hash=config_hash(cfg))
@@ -193,18 +194,17 @@ def _write_maps(maps, out_dir: Path, chash: str) -> None:
         write_text(out_dir / f"topomap_{tmap.band}.svg", svg)
 
 
-def _band_maps(cfg: dict, features):
-    bands = BandTable.from_dict(cfg["bands"])
-    powers = band_powers_from_features(features.values, features.bin_freqs_hz, bands)
+def _band_maps(cfg: RunConfig, features):
+    powers = band_powers_from_features(features.values, features.bin_freqs_hz, cfg.bands)
     correct = features.domain_labels == 0
     return band_topomaps(powers[correct], powers[~correct], features.channel_names,
-                         default_montage(), bands, alpha=cfg["stats"]["alpha"])
+                         default_montage(), cfg.bands, alpha=cfg.stats.alpha)
 
 
-def _cmd_stats(cfg: dict, args) -> int:
+def _cmd_stats(cfg: RunConfig, args) -> int:
     features = read_features(args.features)
     maps = _band_maps(cfg, features)
-    out_dir = Path(args.out or cfg["out_dir"])
+    out_dir = Path(args.out or cfg.out_dir)
     _write_maps(maps, out_dir, config_hash(cfg))
     n_sig = sum(int(m.significant.sum()) for m in maps)
     print(f"wrote {len(maps)} band maps to {out_dir} ({n_sig} significant cells)")
@@ -220,7 +220,7 @@ def _history_csv(history, chash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _train_on(cfg: dict, train_set, mode: TrainMode):
+def _train_on(cfg: RunConfig, train_set, mode: TrainMode):
     """(params rounded to float32 as in a model file, model config, scaler, history)."""
     model_cfg = _model_config(cfg, train_set.n_channels, train_set.bin_freqs_hz)
     scaler = FeatureScaler.fit(train_set.flat())
@@ -236,13 +236,13 @@ def _evaluate_on(params, scaler, test_set):
     return evaluate(params, x, test_set.class_labels, test_set.domain_labels)
 
 
-def _cmd_train(cfg: dict, args) -> int:
+def _cmd_train(cfg: RunConfig, args) -> int:
     features = read_features(args.features)
     mode = TrainMode(args.mode)
     train_set, _ = _split(cfg, features)
     params, model_cfg, scaler, history = _train_on(cfg, train_set, mode)
     chash = config_hash(cfg)
-    out = Path(args.out or Path(cfg["out_dir"]) / f"model_{mode.value}.bin")
+    out = Path(args.out or Path(cfg.out_dir) / f"model_{mode.value}.bin")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(params, model_cfg, out, mode=mode, config_hash=chash, scaler=scaler)
     history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
@@ -255,7 +255,7 @@ def _cmd_train(cfg: dict, args) -> int:
     return 0
 
 
-def _cmd_eval(cfg: dict, args) -> int:
+def _cmd_eval(cfg: RunConfig, args) -> int:
     features = read_features(args.features)
     params, model_cfg, mode, scaler = load_model(args.model)
     layouts = [(c.n_channels, tuple(map(float, c.bin_freqs_hz))) for c in (features, model_cfg)]
@@ -265,7 +265,7 @@ def _cmd_eval(cfg: dict, args) -> int:
     _, test_set = _split(cfg, features)
     report = _evaluate_on(params, scaler, test_set)
     payload = {"config_hash": config_hash(cfg), "mode": mode.value, **report.to_dict()}
-    out = Path(args.out or Path(cfg["out_dir"]) / f"eval_{mode.value}.json")
+    out = Path(args.out or Path(cfg.out_dir) / f"eval_{mode.value}.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_text(out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     print(
@@ -296,14 +296,13 @@ def _comparison_table(mean_metrics: dict, n_seeds: int, chash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_report(cfg: dict, n_seeds: int, out_dir: Path) -> dict:
+def run_report(cfg: RunConfig, n_seeds: int, out_dir: Path) -> dict:
     """Full pipeline over n_seeds seeds; returns the report payload."""
     chash = config_hash(cfg)
-    base_synth = SynthConfig.from_dict(cfg["synth"])
     per_seed = []
     for i in range(n_seeds):
-        synth_cfg = replace(base_synth, seed=base_synth.seed + i)
-        features = generate_dataset(synth_cfg, WelchConfig.from_dict(cfg["welch"]))  # streamed
+        synth_cfg = replace(cfg.synth, seed=cfg.synth.seed + i)
+        features = generate_dataset(synth_cfg, cfg.welch)  # streamed
         if i == 0:
             maps = _band_maps(cfg, features)
             _write_maps(maps, out_dir / "topomaps", chash)
@@ -344,9 +343,9 @@ def _report_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_report(cfg: dict, args) -> int:
-    n_seeds = cfg["report"]["seeds"]
-    out_dir = Path(args.out or cfg["out_dir"])
+def _cmd_report(cfg: RunConfig, args) -> int:
+    n_seeds = cfg.report.seeds
+    out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = run_report(cfg, n_seeds, out_dir)
     write_text(out_dir / "report.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")

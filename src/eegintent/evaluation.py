@@ -49,8 +49,8 @@ class EvalReport(Schema):
     f1_misarticulated: float
     confusion: np.ndarray
     n_test: int
-    missing_classes_correct: tuple[int, ...] = ()
-    missing_classes_misarticulated: tuple[int, ...] = ()
+    missing_classes_correct: tuple[int, ...]
+    missing_classes_misarticulated: tuple[int, ...]
 
 
 def evaluate(params: ModelParams, x, y_class, y_domain) -> EvalReport:

@@ -268,10 +268,14 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of integer labels under softmax logits."""
-    logp = _log_softmax(np.asarray(logits, dtype=np.float64))
-    return float(-logp[np.arange(len(labels)), np.asarray(labels)].mean())
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """(mean negative log-likelihood of integer labels under softmax logits,
+    softmax - one-hot): the loss and n times its gradient at the logits."""
+    logp = _log_softmax(logits)
+    rows = np.arange(len(labels))
+    probs = np.exp(logp)
+    probs[rows, labels] -= 1.0
+    return float(-logp[rows, labels].mean()), probs
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -321,7 +325,7 @@ class LossBreakdown:
     l_domain: float
     l_mmd: float
     l_total: float
-    single_domain: bool = False
+    single_domain: bool
 
 
 def _labels(y_class, y_domain):
@@ -336,8 +340,8 @@ def _step(params, z1, y_class, y_domain, config):
     (class_logits, domain_logits, _, emb_domain), caches = _two_view_pass(params, z1, n)
     shared, enc_cache, cls_cache, dom_cache = caches
 
-    l_class = softmax_cross_entropy(class_logits, y_class)
-    l_domain = softmax_cross_entropy(domain_logits, y_domain)
+    l_class, probs = _cross_entropy(class_logits, y_class)
+    l_domain, probs_d = _cross_entropy(domain_logits, y_domain)
 
     n_mis = int(np.count_nonzero(y_domain))
     single_domain = n_mis in (0, n)
@@ -355,14 +359,10 @@ def _step(params, z1, y_class, y_domain, config):
     )
 
     # class path
-    probs = np.exp(_log_softmax(class_logits))
-    probs[np.arange(n), y_class] -= 1.0
     cls_head_grads, d_emb_class = _stack_backward(params.class_head, cls_cache, probs / n,
                                                   relu_last=False)
 
     # domain path: weighted cross-entropy plus the MMD alignment term
-    probs_d = np.exp(_log_softmax(domain_logits))
-    probs_d[np.arange(n), y_domain] -= 1.0
     dom_head_grads, d_emb_domain = _stack_backward(
         params.domain_head, dom_cache, config.lambda1 * probs_d / n, relu_last=False
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSample, EmptyBand, InsufficientTrials
+from .errors import DegenerateSample, InsufficientTrials
 from .montage import Montage
 from .spectral import PSD_FLOOR, BandTable
 

@@ -32,9 +32,8 @@ import numpy as np
 from .codec import Schema
 from .data import N_CLASSES, AcquisitionSpec, Dataset, map_trials
 from .errors import NonFiniteSample
-from .model import SUPPRESSED_BANDS
 from .montage import Montage, Region, default_montage
-from .spectral import BandTable, FeatureSet, WelchConfig, _blocked_matmul, welch_kernel
+from .spectral import FeatureSet, WelchConfig, _blocked_matmul, welch_kernel
 
 _MASK64 = (1 << 64) - 1
 
@@ -92,6 +91,14 @@ class SynthConfig(Schema):
             raise ValueError(
                 f"class_signature_freqs_hz needs one frequency list per class ({N_CLASSES})"
             )
+        spec = AcquisitionSpec()  # the run config checks the suppressed bands
+        for class_label, freqs in enumerate(self.class_signature_freqs_hz):
+            for f in freqs:
+                if not spec.band_low_hz <= f <= spec.band_high_hz:
+                    raise ValueError(
+                        f"class_signature_freqs_hz: class {class_label} signature {f:g} Hz "
+                        f"outside the [{spec.band_low_hz:g}, {spec.band_high_hz:g}] Hz pass band"
+                    )
         if self.delta_gain_mis < 1 or self.alpha_gain_mis < 1:
             raise ValueError("delta_gain_mis and alpha_gain_mis must be >= 1")
         if not 0.0 < self.gamma_gain_mis <= 1.0:
@@ -100,26 +107,6 @@ class SynthConfig(Schema):
             raise ValueError("amp_jitter must be in [0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
-
-    def validate_against(self, spec: AcquisitionSpec, bands: BandTable | None = None) -> None:
-        """Class signatures must sit inside the pass band and, given the run's
-        bands, outside the suppressed delta/alpha/gamma ranges, so class
-        evidence survives the class-branch mask."""
-        names = SUPPRESSED_BANDS if bands is not None else ()
-        suppressed = [bands.get(name) for name in names]
-        for class_label, freqs in enumerate(self.class_signature_freqs_hz):
-            for f in freqs:
-                if not spec.band_low_hz <= f <= spec.band_high_hz:
-                    raise ValueError(
-                        f"class {class_label} signature {f:g} Hz outside the "
-                        f"[{spec.band_low_hz:g}, {spec.band_high_hz:g}] Hz pass band"
-                    )
-                for band in suppressed:
-                    if band.contains(f):
-                        raise ValueError(
-                            f"class {class_label} signature {f:g} Hz falls in the "
-                            f"suppressed {band.name} band"
-                        )
 
 
 def splitmix64(value: int) -> int:
@@ -239,13 +226,10 @@ def generate_dataset(config: SynthConfig, welch: WelchConfig | None = None):
     A pure function of the config: per-trial generators are derived from
     config.seed, so trial order and prior draws cannot leak between trials.
     A trial's error is raised as is (NonFiniteSample names a trial that is not
-    finite in float32), and trials not yet started are cancelled. The class
-    signatures must sit in the pass band (ValueError); the run config also
-    checks them against its bands.
+    finite in float32), and trials not yet started are cancelled.
     """
     montage = default_montage()
     spec = AcquisitionSpec()
-    config.validate_against(spec)
     if welch is not None:
         bin_freqs, log_psd = welch_kernel(spec, welch)
     width = spec.n_samples if welch is None else len(bin_freqs)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from eegintent.cli import default_run_config, run_report
+from eegintent.cli import load_run_config, run_report
 from eegintent.model import (
     ModelConfig,
     TrainMode,
@@ -215,7 +215,7 @@ def test_criterion_4_spectral_statistics_recovery():
 
 def test_criterion_5_directional_model_replication(tmp_path):
     with criterion(5, "multitask beats baseline on misarticulated F1", 600.0):
-        payload = run_report(default_run_config(), 5, tmp_path)
+        payload = run_report(load_run_config(None), 5, tmp_path)
         base = payload["mean"]["baseline"]
         multi = payload["mean"]["multitask"]
         gap = multi["f1_misarticulated"] - base["f1_misarticulated"]

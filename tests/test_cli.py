@@ -77,9 +77,9 @@ class TestConfig:
 
     def test_overrides_merge(self, tiny_config_path):
         cfg = load_run_config(str(tiny_config_path))
-        assert cfg["synth"]["n_trials_per_class"] == 10
-        assert cfg["synth"]["misarticulation_rate"] == 0.3  # default retained
-        assert cfg["model"]["epochs"] == 8
+        assert cfg.synth.n_trials_per_class == 10
+        assert cfg.synth.misarticulation_rate == 0.3  # default retained
+        assert cfg.model["epochs"] == 8
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -90,10 +90,10 @@ class TestConfig:
         cfg = load_run_config(str(tiny_config_path))
         again = load_run_config(str(tiny_config_path))
         assert config_hash(cfg) == config_hash(again)
-        cfg["synth"]["seed"] += 1
+        cfg = replace(cfg, synth=replace(cfg.synth, seed=cfg.synth.seed + 1))
         assert config_hash(cfg) != config_hash(again)
         default_hash = "6ef3265905554e44bed8df79f2f298c1ec200b991a9c7b9bd5ec21545b84a170"
-        assert config_hash(default_run_config()) == default_hash
+        assert config_hash(load_run_config(None)) == default_hash
 
     @pytest.mark.parametrize(
         "bands, signatures, code",

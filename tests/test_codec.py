@@ -305,7 +305,7 @@ def test_stats_alpha_outside_unit_interval(files, capsys, argv, config):
 def test_default_config_round_trips(tmp_path):
     path = tmp_path / "defaults.json"
     path.write_text(json.dumps(default_run_config(), sort_keys=True))
-    assert load_run_config(str(path)) == default_run_config()
+    assert load_run_config(str(path)).to_dict() == default_run_config()
 
 
 # --- the MMD term builds one distance matrix per step -----------------------

@@ -16,7 +16,6 @@ KEPT = {
     "codec.read_header(blob)",  # False for the dataset manifest
     "errors.DimensionMismatch.__init__(what)",  # the blob layout messages
     "synth.generate_dataset(welch)",  # None for the trial table, a config for features
-    "synth.SynthConfig.validate_against(bands)",  # None checks the pass band only
 }
 
 

@@ -9,11 +9,11 @@ import pytest
 from scipy import stats as sps
 
 from eegintent import data, synth
-from eegintent.cli import main
+from eegintent.cli import RunConfig, main
 from eegintent.data import AcquisitionSpec
 from eegintent.errors import NonFiniteSample, UnknownChannel
 from eegintent.montage import Region, default_montage
-from eegintent.spectral import BandTable, WelchConfig, extract_feature_set
+from eegintent.spectral import WelchConfig, extract_feature_set
 from eegintent.synth import (
     SynthConfig,
     generate_dataset,
@@ -144,10 +144,9 @@ class TestGenerateTrial:
             assert peak_freq == pytest.approx(expected, abs=0.5)
 
     def test_signatures_validated_against_suppressed_bands(self):
-        cfg = SynthConfig(class_signature_freqs_hz=((5.0, 10.0), (6.0, 20.0),
-                                                    (6.5, 21.0), (7.0, 22.0)))
+        synth = {"class_signature_freqs_hz": [[5.0, 10.0], [6.0, 20.0], [6.5, 21.0], [7.0, 22.0]]}
         with pytest.raises(ValueError, match="alpha"):
-            cfg.validate_against(SPEC, BandTable())
+            RunConfig.from_dict({"synth": synth})
 
 
 class TestGenerateDataset:
