@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,13 +68,8 @@ class ReportConfig(Schema):
             raise ValueError(f"seeds must be at least 1, got {self.seeds}")
 
 
-def _model_defaults() -> dict:
-    # ModelConfig's defaults but the fields that the data and the bands section set
-    return {
-        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-        for f in fields(ModelConfig)
-        if f.default is not MISSING
-    }
+# ModelConfig's fields that the data and the bands section set, not the model section
+_DATA_KEYS = ("n_channels", "bin_freqs_hz", "bands")
 
 
 @dataclass(frozen=True)
@@ -86,22 +81,20 @@ class RunConfig(Schema):
     synth: SynthConfig = field(default_factory=SynthConfig)
     welch: WelchConfig = field(default_factory=WelchConfig)
     bands: BandTable = field(default_factory=BandTable)
-    model: dict = field(default_factory=_model_defaults)
+    model: dict = field(default_factory=dict)
     split: SplitConfig = field(default_factory=SplitConfig)
     stats: StatsConfig = field(default_factory=StatsConfig)
     report: ReportConfig = field(default_factory=ReportConfig)
 
     def __post_init__(self):
         super().__post_init__()
-        defaults = _model_defaults()
-        for key in self.model:
-            if key not in defaults:
-                raise ValueError(f"model.{key} is not a known key")
-        object.__setattr__(self, "model", {**defaults, **self.model})
         try:  # the data sets the real shape
-            _model_config(self, 1, [1.0])
+            if data_keys := [key for key in self.model if key in _DATA_KEYS]:
+                raise ValueError(f"{data_keys[0]} is not a known key")
+            model = _model_config(self, 1, [1.0]).to_dict()
         except ValueError as exc:
             raise ValueError(f"model.{exc}") from None
+        object.__setattr__(self, "model", {k: model[k] for k in model if k not in _DATA_KEYS})
         # the decoder's mask must not suppress class evidence
         suppressed = [self.bands.get(name) for name in SUPPRESSED_BANDS]
         for class_label, freqs in enumerate(self.synth.class_signature_freqs_hz):
@@ -147,9 +140,9 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def _model_config(cfg: RunConfig, n_channels: int, bin_freqs) -> ModelConfig:
-    # RunConfig has checked the section's keys and merged in the defaults
-    return ModelConfig(n_channels=n_channels, bin_freqs_hz=bin_freqs, bands=cfg.bands,
-                       **cfg.model)
+    """The model section as a ModelConfig for data of this layout and the run's bands."""
+    return ModelConfig.from_dict(
+        {**cfg.model, "n_channels": n_channels, "bin_freqs_hz": bin_freqs, "bands": cfg.bands})
 
 
 def _split(cfg: RunConfig, features):

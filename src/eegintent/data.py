@@ -1,4 +1,5 @@
-"""The trial table, its lossless on-disk format, the trial pool and splitting.
+"""The trial table, its lossless on-disk format, the trial pool and its BLAS
+blocking, and splitting.
 
 A dataset is one read-only float32 [trials x channels x samples] array in
 microvolts plus int64 trial ids, class labels and domain labels (1 =
@@ -34,6 +35,8 @@ N_CLASSES = 4
 DOMAIN_NAMES = ("correct", "misarticulated")  # domain label 0 and 1 in the files
 
 MANIFEST_FORMAT = "eegintent-dataset-v1"
+
+_BLAS_BLOCK = 1 << 18  # OpenBLAS runs a GEMM of m*n*k <= 4 * 65536 on the calling thread
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,18 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in column blocks of b of at most _BLAS_BLOCK multiply-adds each.
+    OpenBLAS runs a product that small on the calling thread, so the trials on
+    map_trials's pool never queue on its thread server, and each product's
+    float64 values are the same at any BLAS thread count."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    step = max(1, _BLAS_BLOCK // (a.shape[0] * a.shape[1]))
+    for j in range(0, b.shape[1], step):
+        np.matmul(a, b[:, j : j + step], out=out[:, j : j + step])
+    return out
 
 
 def map_trials(fill, n_trials: int) -> None:

@@ -251,16 +251,14 @@ def _two_view_pass(params: ModelParams, z1, n: int):
 
 
 def forward(params: ModelParams, x):
-    """(class_logits, domain_logits, embedding_class, embedding_domain).
+    """(class_logits, domain_logits, embedding_class, embedding_domain) of a
+    [trials x inputs] batch.
 
     The class branch runs the shared encoder on the mask-scaled features,
     the domain branch on the raw features.
     """
-    x = np.asarray(x, dtype=np.float64)
-    xb = np.atleast_2d(x)
-    _, z1 = _first_layer(params, xb)
-    outputs, _ = _two_view_pass(params, z1, len(xb))
-    return tuple(out[0] for out in outputs) if x.ndim == 1 else outputs
+    _, z1 = _first_layer(params, x)
+    return _two_view_pass(params, z1, len(x))[0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -287,17 +285,28 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _mmd(e: np.ndarray, w: np.ndarray, bandwidth: float | None):
     """(w.T K w, its gradient in e) for the RBF kernel K on the rows of e,
     from one distance matrix. bandwidth None takes the median heuristic,
-    sigma^2 = median pairwise squared distance / 2; a zero median, as when
-    every row is the same, gives (0.0, None)."""
+    sigma^2 = median pairwise squared distance / 2, and the gradient includes
+    the median's own, through its one or two middle pairs in a stable sort;
+    where a middle distance ties another, the median has no derivative and
+    that order picks one side. A zero median, as when every row is the same,
+    gives (0.0, None)."""
     sq = _sq_dists(e, e)
-    if bandwidth is None:
-        med = float(np.median(sq[np.triu_indices(len(e), k=1)]))
+    median = bandwidth is None
+    if median:
+        rows, cols = np.triu_indices(len(e), k=1)
+        pairs = sq[rows, cols]
+        med = float(np.median(pairs))
         if med <= 0.0:
             return 0.0, None
         bandwidth = np.sqrt(med / 2.0)
     k = np.exp(-sq / (2.0 * bandwidth**2))
     kw = k @ w
     grad = (2.0 / bandwidth**2) * w[:, None] * (k @ (w[:, None] * e) - kw[:, None] * e)
+    if median:  # dL/dmed = w.T (K * sq) w / med^2; d sq_ij / d e_i = 2 (e_i - e_j)
+        mid = np.argsort(pairs, kind="stable")[(len(pairs) - 1) // 2 : len(pairs) // 2 + 1]
+        d_pair = (2.0 * (w @ (k * sq) @ w) / (med**2 * len(mid))) * (e[rows[mid]] - e[cols[mid]])
+        np.add.at(grad, rows[mid], d_pair)
+        np.add.at(grad, cols[mid], -d_pair)
     return float(w @ kw), grad
 
 

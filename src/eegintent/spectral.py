@@ -2,11 +2,10 @@
 
 The Welch PSD uses periodic Hann windows, per-segment mean removal and
 one-sided density scaling in microvolt^2 per Hz. welch_kernel computes it per
-trial at the kept bins only, its product in blocks that OpenBLAS runs on the
-calling thread, so a trial's features are the same at any worker or BLAS
-thread count. Its reference, one fft per segment over every bin, lives in
-tests/oracles.py. A feature set holds its values as float32, as the feature
-file does, on every route.
+trial at the kept bins only, by data.blocked_matmul, so a trial's features
+are the same at any worker or BLAS thread count. Its reference, one fft per
+segment over every bin, lives in tests/oracles.py. A feature set holds its
+values as float32, as the feature file does, on every route.
 """
 
 from __future__ import annotations
@@ -25,12 +24,11 @@ from .codec import (
     unpack_floats,
     write_header_file,
 )
-from .data import (AcquisitionSpec, Dataset, check_channel_names, map_trials,
+from .data import (AcquisitionSpec, Dataset, blocked_matmul, check_channel_names, map_trials,
                    parse_trial_entries, trial_entries)
 from .errors import EmptyBand, NonPowerOfTwoLength, SignalTooShort
 
 PSD_FLOOR = 1e-12  # microvolt^2/Hz, applied before log10
-_BLAS_BLOCK = 1 << 18  # OpenBLAS runs a GEMM of m*n*k <= 4 * 65536 on the calling thread
 
 FEATURES_FORMAT = "eegintent-features-v1"
 
@@ -70,15 +68,6 @@ def ifft(x) -> np.ndarray:
     """Inverse of fft (1/N normalization on the inverse transform)."""
     x = np.asarray(x)
     return np.conj(fft(np.conj(x))) / x.shape[-1]
-
-
-def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in column blocks of b of at most _BLAS_BLOCK multiply-adds each."""
-    out = np.empty((a.shape[0], b.shape[1]))
-    step = max(1, _BLAS_BLOCK // (a.shape[0] * a.shape[1]))
-    for j in range(0, b.shape[1], step):
-        np.matmul(a, b[:, j : j + step], out=out[:, j : j + step])
-    return out
 
 
 # --- Welch PSD -----------------------------------------------------------
@@ -244,7 +233,7 @@ def welch_kernel(spec: AcquisitionSpec, config: WelchConfig):
     def log_psd(trial: np.ndarray) -> np.ndarray:
         windows = sliding_window_view(trial.astype(np.float64), seg, axis=-1)[:, ::step]
         segments = windows - windows.mean(axis=-1, keepdims=True)  # a copy, mean-removed
-        parts = _blocked_matmul(segments.reshape(-1, seg), basis) ** 2
+        parts = blocked_matmul(segments.reshape(-1, seg), basis) ** 2
         power = parts[:, : len(keep)] + parts[:, len(keep) :]
         power = power.reshape(len(trial), n_segments, -1).sum(axis=1)
         return np.log10(np.maximum(power * density, PSD_FLOOR))

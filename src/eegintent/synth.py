@@ -17,9 +17,8 @@ amplitudes after all random draws, so trials can be generated in any order
 and label flips keep shared components identical. Hence the worker count (the
 process's CPU affinity, never a config key) cannot change a byte of the
 samples or of the features. A trial's BLAS products, and the feature
-kernel's, run in column blocks of at most 2**18 multiply-adds, which OpenBLAS
-computes on the calling thread: concurrent trials never wait on its thread
-server, and the float64 values do not depend on BLAS's thread count.
+kernel's, run through data.blocked_matmul, so their float64 values do not
+depend on BLAS's thread count either.
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ from functools import lru_cache
 import numpy as np
 
 from .codec import Schema
-from .data import N_CLASSES, AcquisitionSpec, Dataset, map_trials
+from .data import N_CLASSES, AcquisitionSpec, Dataset, blocked_matmul, map_trials
 from .errors import NonFiniteSample
 from .montage import Montage, Region, default_montage
-from .spectral import FeatureSet, WelchConfig, _blocked_matmul, welch_kernel
+from .spectral import FeatureSet, WelchConfig, welch_kernel
 
 _MASK64 = (1 << 64) - 1
 
@@ -213,8 +212,8 @@ def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
     phase = np.stack(phases, axis=1)
     sin_t, cos_t = _sin_cos_basis(tuple(freqs), n, spec.sample_rate_hz)
     # sin(2 pi f t + phi) = cos(phi) sin(2 pi f t) + sin(phi) cos(2 pi f t)
-    samples += (_blocked_matmul(amp * np.cos(phase), sin_t)
-                + _blocked_matmul(amp * np.sin(phase), cos_t))
+    samples += (blocked_matmul(amp * np.cos(phase), sin_t)
+                + blocked_matmul(amp * np.sin(phase), cos_t))
     return samples
 
 

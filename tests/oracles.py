@@ -49,17 +49,34 @@ def mmd_embedding_grads(x, y, bandwidth):
     """(dx, dy): the gradients of the biased RBF-MMD^2 in the rows of x and
     of y, from the three kernel blocks kxx, kyy and kxy built from explicit
     row differences. bandwidth None takes sigma^2 = median pairwise squared
-    distance of [x; y] / 2, and None is returned when that median is zero."""
+    distance of [x; y] / 2, and None is returned when that median is zero;
+    the gradient then adds the median's own term, dL/dmed times the mean
+    gradient of the middle pair distances, each by explicit loops."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     n, m = len(x), len(y)
+    median_term = None
     if bandwidth is None:
         pooled = np.vstack([x, y])
-        pairs = [np.sum((pooled[i] - pooled[j]) ** 2)
-                 for i in range(n + m) for j in range(i + 1, n + m)]
+        index = [(i, j) for i in range(n + m) for j in range(i + 1, n + m)]
+        pairs = [np.sum((pooled[i] - pooled[j]) ** 2) for i, j in index]
         med = float(np.median(pairs))
         if med <= 0.0:
             return None
         bandwidth = np.sqrt(med / 2.0)
+        # the middle one or two pairs of a stable sort, as np.median averages them
+        ranked = sorted(range(len(pairs)), key=pairs.__getitem__)
+        middle = ranked[(len(pairs) - 1) // 2 : len(pairs) // 2 + 1]
+        weights = [1.0 / n] * n + [-1.0 / m] * m
+        d_med = 0.0  # dL/dmed = sum_ab w_a w_b K_ab sq_ab / med^2, with 2 sigma^2 = med
+        for a in range(n + m):
+            for b in range(n + m):
+                sq = np.sum((pooled[a] - pooled[b]) ** 2)
+                d_med += weights[a] * weights[b] * np.exp(-sq / (2.0 * bandwidth**2)) * sq / med**2
+        median_term = np.zeros_like(pooled)
+        for p in middle:  # d sq_ij / d e_i = 2 (e_i - e_j) = -d sq_ij / d e_j
+            i, j = index[p]
+            median_term[i] += d_med * 2.0 * (pooled[i] - pooled[j]) / len(middle)
+            median_term[j] -= d_med * 2.0 * (pooled[i] - pooled[j]) / len(middle)
 
     def kernel(a, b):
         return np.exp(-np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2) / (2.0 * bandwidth**2))
@@ -72,4 +89,6 @@ def mmd_embedding_grads(x, y, bandwidth):
     dy = (2.0 * inv / m**2) * (kyy @ y - kyy.sum(axis=1)[:, None] * y) - (
         2.0 * inv / (n * m)
     ) * (kxy.T @ x - kxy.sum(axis=0)[:, None] * y)
+    if median_term is not None:
+        dx, dy = dx + median_term[:n], dy + median_term[n:]
     return dx, dy

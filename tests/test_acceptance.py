@@ -6,7 +6,6 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from scipy.integrate import quad
 from eegintent.cli import load_run_config, run_report
 from eegintent.model import (
     ModelConfig,
-    TrainMode,
     backward,
     compute_loss,
     forward,
@@ -246,7 +244,7 @@ SMALL_RUN = {
 
 def test_criterion_6_report_determinism(tmp_path):
     with criterion(6, "byte-identical report reruns", 300.0):
-        from eegintent.cli import load_run_config, main
+        from eegintent.cli import main
 
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(SMALL_RUN))
@@ -282,14 +280,14 @@ def test_criterion_7_mask_semantics():
         params = init_params(ModelConfig(gamma_sup=0.0, **base))
         suppressed = np.flatnonzero(params.mask == 0.0)
         assert len(suppressed) > 0
-        logits_before, _, _, _ = forward(params, x)
+        logits_before, _, _, _ = forward(params, x[None])
         for trial in range(5):
             perturbed = x.copy()
             perturbed[suppressed] += rng.normal(scale=100.0, size=len(suppressed))
-            logits_after, domain_after, _, _ = forward(params, perturbed)
+            logits_after, domain_after, _, _ = forward(params, perturbed[None])
             assert np.array_equal(logits_before, logits_after)
 
         # gamma_sup = 1: the two encoder views coincide
         params_one = init_params(ModelConfig(gamma_sup=1.0, **base))
-        _, _, emb_class, emb_domain = forward(params_one, x)
+        _, _, emb_class, emb_domain = forward(params_one, x[None])
         assert np.array_equal(emb_class, emb_domain)

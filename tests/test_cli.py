@@ -7,7 +7,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import eegintent
@@ -94,6 +93,18 @@ class TestConfig:
         assert config_hash(cfg) != config_hash(again)
         default_hash = "6ef3265905554e44bed8df79f2f298c1ec200b991a9c7b9bd5ec21545b84a170"
         assert config_hash(load_run_config(None)) == default_hash
+
+    def test_model_section_hash_pinned(self, tmp_path):
+        # CI's smoke config with a null bandwidth and an integer learning rate,
+        # hashed as the model section was stored before it went through ModelConfig
+        model = {"encoder_dims": [16, 8], "class_head_dims": [8, 4], "domain_head_dims": [8, 2],
+                 "epochs": 4, "batch_size": 8, "mmd_bandwidth": None, "learning_rate": 1}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": {"n_trials_per_class": 10}, "model": model,
+                                    "split": {"test_fraction": 0.3, "seed": 1},
+                                    "report": {"seeds": 1}}))
+        pinned = "6b610752c477e634a8f55cd0a3dc9265a689bfa11d569bc081895abf6c368494"
+        assert config_hash(load_run_config(str(path))) == pinned
 
     @pytest.mark.parametrize(
         "bands, signatures, code",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegintent.errors import EmptyTestSet
-from eegintent.evaluation import confusion_matrix, evaluate, macro_f1, predict
+from eegintent.evaluation import evaluate, macro_f1, predict
 from eegintent.model import Layer, ModelParams
 
 

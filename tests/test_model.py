@@ -194,21 +194,20 @@ class TestForward:
         params = init_params(toy_config(gamma_sup=0.0))
         x, _, _ = toy_batch(n=1)
         x = x[0]
-        logits_before, domain_before, _, _ = forward(params, x)
+        logits_before, domain_before, _, _ = forward(params, x[None])
         perturbed = x.copy()
         for idx in (0, 2, 4, 6, 8, 10):  # delta/alpha/gamma bins of both channels
             perturbed[idx] += 13.7
-        logits_after, domain_after, _, _ = forward(params, perturbed)
+        logits_after, domain_after, _, _ = forward(params, perturbed[None])
         assert np.array_equal(logits_before, logits_after)
         assert not np.array_equal(domain_before, domain_after)
 
     def test_single_vector_matches_batch_row(self):
-        # BLAS may pick different kernels for the two shapes; allow roundoff
+        # forward takes [trials x inputs] batches only, like the training step
         params = init_params(toy_config())
         x, _, _ = toy_batch()
-        batch_logits, _, _, _ = forward(params, x)
-        single_logits, _, _, _ = forward(params, x[3])
-        assert np.allclose(single_logits, batch_logits[3], rtol=1e-12, atol=0)
+        with pytest.raises(ShapeMismatch):
+            forward(params, x[3])
 
     def test_shape_mismatch(self):
         params = init_params(toy_config())
@@ -340,9 +339,22 @@ class TestLoss:
         assert np.isfinite(loss.l_mmd) and loss.l_mmd >= 0
 
 
+def middle_pairs(params, x):
+    """The pairs of trials whose domain-embedding distance np.median takes."""
+    emb = forward(params, x)[3]
+    rows, cols = np.triu_indices(len(emb), k=1)
+    sq = ((emb[rows] - emb[cols]) ** 2).sum(axis=1)
+    order = np.argsort(sq, kind="stable")
+    return {(rows[p], cols[p]) for p in order[(len(sq) - 1) // 2 : len(sq) // 2 + 1]}
+
+
 def finite_difference_check(cfg, x, yc, yd, eps=1e-4, tol=1e-4):
+    """Central differences of l_total against backward. Under the median
+    bandwidth, no perturbation may move another pair across a middle one,
+    where the median has no derivative."""
     params = init_params(cfg)
     grads = backward(params, x, yc, yd, cfg)
+    middle = middle_pairs(params, x) if cfg.mmd_bandwidth is None else None
     worst = 0.0
     for layer, grad in zip(params.all_layers(), grads.all_layers()):
         for arr, garr in ((layer.w, grad.w), (layer.b, grad.b)):
@@ -352,8 +364,10 @@ def finite_difference_check(cfg, x, yc, yd, eps=1e-4, tol=1e-4):
                 orig = arr[idx]
                 arr[idx] = orig + eps
                 up = compute_loss(params, x, yc, yd, cfg).l_total
+                assert middle is None or middle_pairs(params, x) == middle
                 arr[idx] = orig - eps
                 down = compute_loss(params, x, yc, yd, cfg).l_total
+                assert middle is None or middle_pairs(params, x) == middle
                 arr[idx] = orig
                 fd = (up - down) / (2 * eps)
                 rel = abs(fd - garr[idx]) / (abs(garr[idx]) + 1e-8)
@@ -372,6 +386,14 @@ class TestBackward:
         cfg = toy_config(encoder_dims=(8, 5), class_head_dims=(6, 4),
                          domain_head_dims=(3, 2), seed=12)
         x, yc, yd = toy_batch(seed=9)
+        finite_difference_check(cfg, x, yc, yd)
+
+    # 45 pairs of 10 trials have one middle pair, 28 of 8 have two
+    @pytest.mark.parametrize("n, n_middle", [(10, 1), (8, 2)])
+    def test_finite_difference_median_bandwidth(self, n, n_middle):
+        cfg = toy_config(mmd_bandwidth=None)
+        x, yc, yd = toy_batch(n=n)
+        assert len(middle_pairs(init_params(cfg), x)) == n_middle
         finite_difference_check(cfg, x, yc, yd)
 
     def test_lambdas_zero_equals_class_only(self):

@@ -325,14 +325,14 @@ class TestBlockedMatmul:
         # that each output column comes from its own column of b
         a = rng.integers(-50, 50, (m, k)).astype(float)
         b = rng.integers(-50, 50, (k, n)).astype(float)
-        assert synth._blocked_matmul(a, b).tobytes() == (a @ b).tobytes()
+        assert data.blocked_matmul(a, b).tobytes() == (a @ b).tobytes()
         assert sum(block_sizes) == m * k * n
         assert max(block_sizes) <= 2**18
         # general values: OpenBLAS may round a column tail of the one large
         # product in another order, so only the dot-product error bound holds
         a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
         bound = 2 * k * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
-        assert np.all(np.abs(synth._blocked_matmul(a, b) - a @ b) <= bound)
+        assert np.all(np.abs(data.blocked_matmul(a, b) - a @ b) <= bound)
 
 
 class TestHashing:
