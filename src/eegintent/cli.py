@@ -158,8 +158,8 @@ def _split(cfg: RunConfig, features):
 def _cmd_synth(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = generate_dataset(cfg.synth)
     manifest = out_dir / "dataset.json"
+    dataset = generate_dataset(cfg.synth, path=manifest)  # the trials go to the blob
     save_dataset(dataset, manifest, config_hash=config_hash(cfg))
     print(f"wrote {manifest} ({len(dataset)} trials)")
     return 0

@@ -23,21 +23,26 @@ from .errors import IoFailure, MalformedManifest, MissingFile
 
 # --- files ---------------------------------------------------------------
 
-def write_atomic(path, chunks) -> None:
-    """Write the byte chunks to a temporary file beside `path`, then rename it
-    over `path`; on failure a previous file is left intact (OSError: IoFailure)."""
+@contextmanager
+def atomic_file(path):
+    """A binary file on a temporary beside `path`, renamed over `path` when the
+    block ends; on failure a previous file is left intact (OSError: IoFailure)."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def write_atomic(path, chunks) -> None:
+    with atomic_file(path) as fh:
+        fh.writelines(chunks)
 
 
 def write_text(path, text: str) -> None:

@@ -1,11 +1,12 @@
 """The trial table, its lossless on-disk format, the trial pool and its BLAS
 blocking, and splitting.
 
-A dataset is one read-only float32 [trials x channels x samples] array in
-microvolts plus int64 trial ids, class labels and domain labels (1 =
-misarticulated). On disk it is a JSON manifest, which names the domains as
-DOMAIN_NAMES, plus one blob that holds trial i channel-major as little-endian
-float32 at byte i * channels * samples * 4: a round trip is bit-exact.
+A dataset is a read-only float32 [trials x channels x samples] table in
+microvolts, in memory or read trial by trial from its blob, plus int64 trial
+ids, class labels and domain labels (1 = misarticulated). On disk it is a JSON
+manifest, which names the domains as DOMAIN_NAMES, plus one blob that holds
+trial i channel-major as little-endian float32 at byte
+i * channels * samples * 4: a round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ import numpy as np
 
 from .codec import (
     Schema,
+    atomic_file,
     check_value,
     header_fields,
     is_int,
     read_header,
-    write_atomic,
     write_text,
 )
-from .errors import CellTooSmall, DimensionMismatch, MissingFile, NonFiniteSample
+from .errors import CellTooSmall, DimensionMismatch, IoFailure, MissingFile, NonFiniteSample
 from .montage import default_montage
 
 N_CLASSES = 4
@@ -37,6 +38,7 @@ DOMAIN_NAMES = ("correct", "misarticulated")  # domain label 0 and 1 in the file
 MANIFEST_FORMAT = "eegintent-dataset-v1"
 
 _BLAS_BLOCK = 1 << 18  # OpenBLAS runs a GEMM of m*n*k <= 4 * 65536 on the calling thread
+_MAP_CHUNK = 1024  # trials queued on map_trials's pool at once, as map queues its whole range
 
 
 @dataclass(frozen=True)
@@ -104,12 +106,12 @@ def check_channel_names(names, n_channels: int) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class Dataset:
     """An acquisition spec, the channel ordering, and the trial table (see the
-    module docstring); construction checks the labels and the samples' shape
-    and finiteness, naming a bad trial."""
+    module docstring), in memory or the path of its blob; construction checks
+    the labels and the table's shape and finiteness, naming a bad trial."""
 
     spec: AcquisitionSpec
     channel_names: tuple[str, ...]
-    samples: np.ndarray = field(repr=False)
+    samples: np.ndarray | Path = field(repr=False)
     trial_ids: np.ndarray
     class_labels: np.ndarray
     domain_labels: np.ndarray  # 1 = misarticulated
@@ -118,24 +120,38 @@ class Dataset:
         names = check_channel_names(self.channel_names, self.spec.n_channels)
         object.__setattr__(self, "channel_names", names)
         labels = _check_labels(self.trial_ids, self.class_labels, self.domain_labels)
-        samples = np.ascontiguousarray(self.samples, dtype=np.float32).view()
-        for name, array in zip(("samples", "trial_ids", "class_labels", "domain_labels"),
-                               (samples, *labels)):
+        for name, array in zip(("trial_ids", "class_labels", "domain_labels"), labels):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         ids = self.trial_ids
-        expected = (self.spec.n_channels, self.spec.n_samples)
-        if samples.ndim != 3 or len(samples) != len(ids):
-            raise ValueError(f"samples of shape {samples.shape} for {len(ids)} trials")
-        if len(ids) and samples.shape[1:] != expected:  # one shape: the first trial is named
-            raise DimensionMismatch(int(ids[0]), expected, samples.shape[1:])
-        # one trial at a time: no boolean temporary the size of the samples
-        for trial_id, trial in zip(ids, samples):
-            if not np.isfinite(trial).all():
+        if not isinstance(self.samples, Path):  # a blob's size is load_dataset's check
+            samples = np.ascontiguousarray(self.samples, dtype=np.float32).view()
+            samples.flags.writeable = False
+            object.__setattr__(self, "samples", samples)
+            expected = (self.spec.n_channels, self.spec.n_samples)
+            if samples.ndim != 3 or len(samples) != len(ids):
+                raise ValueError(f"samples of shape {samples.shape} for {len(ids)} trials")
+            if len(ids) and samples.shape[1:] != expected:  # one shape: the first trial is named
+                raise DimensionMismatch(int(ids[0]), expected, samples.shape[1:])
+        # one trial at a time: no boolean temporary the size of the table
+        for i, trial_id in enumerate(ids):
+            if not np.isfinite(self.trial(i)).all():
                 raise NonFiniteSample(int(trial_id))
 
     def __len__(self) -> int:
         return len(self.trial_ids)
+
+    def trial(self, i: int) -> np.ndarray:
+        """Trial i, read-only float32: a row of the table, or one os.pread from the
+        blob into a buffer of its own (a memory map's pages would count as resident)."""
+        if not isinstance(self.samples, Path):
+            return self.samples[i]
+        nbytes = 4 * self.spec.n_channels * self.spec.n_samples
+        with open(self.samples, "rb") as fh:
+            raw = os.pread(fh.fileno(), nbytes, i * nbytes)
+        if len(raw) != nbytes:
+            raise IoFailure(f"{self.samples}: trial {self.trial_ids[i]} is cut short")
+        return np.frombuffer(raw, dtype="<f4").reshape(self.spec.n_channels, self.spec.n_samples)
 
 
 def _usable_cores() -> int:
@@ -158,11 +174,12 @@ def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def map_trials(fill, n_trials: int) -> None:
-    """fill(i) for every trial index i, on a thread pool of one worker per
-    usable core (the process's CPU affinity, never a config key). A trial's
-    error is raised as is, and trials not yet started are cancelled."""
+    """fill(i) for every trial index i, on a thread pool of one worker per usable
+    core (the process's CPU affinity, never a config key), _MAP_CHUNK at a time.
+    A trial's error is raised as is, and trials not yet started are cancelled."""
     with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
-        list(pool.map(fill, range(n_trials)))  # map cancels the rest if one raises
+        for start in range(0, n_trials, _MAP_CHUNK):  # map cancels the rest if one raises
+            list(pool.map(fill, range(start, min(start + _MAP_CHUNK, n_trials))))
 
 
 def trial_entries(trial_ids, class_labels, domain_labels) -> list[dict]:
@@ -187,15 +204,35 @@ def parse_trial_entries(rows):
                         [DOMAIN_NAMES.index(name) for name in domains])
 
 
+def write_trials(path, spec: AcquisitionSpec, n_trials: int, trial) -> Path:
+    """The blob beside the manifest `path`, written by codec.atomic_file: trial(i)
+    is one os.pwrite at its own offset from a map_trials worker, so the order
+    trials finish in cannot change a byte. IoFailure, before any trial, when
+    the file system has less room than the blob; a trial's error is raised."""
+    blob, nbytes = Path(path).with_suffix(".bin"), 4 * spec.n_channels * spec.n_samples
+    with atomic_file(blob) as fh:
+        fs = os.fstatvfs(fh.fileno())
+        if (need := n_trials * nbytes) > (free := fs.f_bavail * fs.f_frsize):
+            raise IoFailure(f"cannot write {blob}: {need} bytes needed, {free} bytes free")
+
+        def put(i: int) -> None:
+            if os.pwrite(fh.fileno(), np.ascontiguousarray(trial(i), "<f4"), i * nbytes) < nbytes:
+                raise IoFailure(f"cannot write {blob}: trial {i} was written short")
+
+        map_trials(put, n_trials)
+    return blob
+
+
 def save_dataset(dataset: Dataset, path, *, config_hash: str) -> None:
-    """Write `path` (JSON manifest) plus a sibling .bin blob with all samples,
-    each atomically, the blob first.
+    """Write `path` (JSON manifest) after its sibling .bin blob, each atomically;
+    write_trials writes the blob unless the dataset reads its trials from it.
 
     Raises IoFailure if either file cannot be written.
     """
     manifest_path = Path(path)
-    blob_path = manifest_path.with_suffix(".bin")
-    write_atomic(blob_path, [np.ascontiguousarray(dataset.samples, dtype="<f4")])
+    blob = dataset.samples
+    if not (isinstance(blob, Path) and blob == manifest_path.with_suffix(".bin")):
+        blob = write_trials(manifest_path, dataset.spec, len(dataset), dataset.trial)
     nbytes = 4 * dataset.spec.n_channels * dataset.spec.n_samples
     entries = trial_entries(dataset.trial_ids, dataset.class_labels, dataset.domain_labels)
     manifest = {
@@ -204,7 +241,7 @@ def save_dataset(dataset: Dataset, path, *, config_hash: str) -> None:
         "spec": dataset.spec.to_dict(),
         "channel_names": list(dataset.channel_names),
         "trials": [
-            {**entry, "blob_file": blob_path.name, "byte_offset": i * nbytes,
+            {**entry, "blob_file": blob.name, "byte_offset": i * nbytes,
              "byte_length": nbytes}
             for i, entry in enumerate(entries)
         ],
@@ -216,15 +253,14 @@ def load_dataset(path) -> Dataset:
     """Read a manifest written by save_dataset and validate every trial.
 
     The entries must give save_dataset's layout: one blob file, trial i at
-    byte i * channels * samples * 4. The blob is viewed as the samples
-    without a copy. Raises MissingFile, MalformedManifest, DimensionMismatch
+    byte i * channels * samples * 4 within the blob's size, whose trials the
+    dataset reads. Raises MissingFile, MalformedManifest, DimensionMismatch
     or NonFiniteSample; the latter two name the offending trial_id.
     """
     manifest_path = Path(path)
     manifest, _ = read_header(manifest_path, MANIFEST_FORMAT, "manifest", blob=False)
     with header_fields(manifest_path):
         spec = AcquisitionSpec.from_dict(manifest["spec"])
-        shape = (spec.n_channels, spec.n_samples)
         nbytes = 4 * spec.n_channels * spec.n_samples
         rows = manifest["trials"]
         trial_ids, class_labels, domain_labels = parse_trial_entries(rows)
@@ -237,13 +273,12 @@ def load_dataset(path) -> Dataset:
         blob_path = manifest_path.parent / blob_file
         if not blob_path.is_file():
             raise MissingFile(f"no blob file at {blob_path}")
-        blob = blob_path.read_bytes()
-        if len(blob) < len(rows) * nbytes:
-            i = len(blob) // nbytes
+        size = blob_path.stat().st_size
+        if size < len(rows) * nbytes:
+            i = size // nbytes
             raise DimensionMismatch(int(trial_ids[i]), f"{i * nbytes}..{(i + 1) * nbytes}",
-                                    f"a {len(blob)}-byte file", what=f"bytes of {blob_file}")
-        samples = np.frombuffer(blob, dtype="<f4", count=len(rows) * nbytes // 4)
-        return Dataset(spec, manifest["channel_names"], samples.reshape(len(rows), *shape),
+                                    f"a {size}-byte file", what=f"bytes of {blob_file}")
+        return Dataset(spec, manifest["channel_names"], blob_path,
                        trial_ids, class_labels, domain_labels)
 
 

@@ -317,10 +317,12 @@ def _mmd_weights(n: int, m: int) -> np.ndarray:
 
 def mmd_rbf(x, y, bandwidth: float | None) -> float:
     """Biased (V-statistic) squared MMD with an RBF kernel: w.T K w over
-    [x; y]. bandwidth None means the median heuristic on [x; y], as
-    ModelConfig.mmd_bandwidth None does per batch."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    [x; y], two [vectors x dims] groups (ShapeMismatch otherwise). bandwidth
+    None means the median heuristic on [x; y], as ModelConfig.mmd_bandwidth
+    None does per batch."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ShapeMismatch(f"MMD needs two groups of one width, got {x.shape} and {y.shape}")
     if len(x) == 0 or len(y) == 0:
         raise EmptyGroup("MMD needs at least one vector per group")
     if bandwidth is not None and bandwidth <= 0:

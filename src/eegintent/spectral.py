@@ -242,15 +242,15 @@ def welch_kernel(spec: AcquisitionSpec, config: WelchConfig):
 
 
 def extract_feature_set(dataset: Dataset, config: WelchConfig) -> FeatureSet:
-    """Per-channel Welch log10 PSD over the acquisition band, every trial
-    stacked as float32: welch_kernel on each trial, on data.map_trials's pool."""
+    """Per-channel Welch log10 PSD over the acquisition band, every trial stacked
+    as float32: welch_kernel on each dataset.trial(i) on data.map_trials's pool."""
     if len(dataset) == 0:
         raise ValueError("dataset has no trials")
     bin_freqs, log_psd = welch_kernel(dataset.spec, config)
     values = np.empty((len(dataset), dataset.spec.n_channels, len(bin_freqs)), np.float32)
 
     def fill(i: int) -> None:
-        values[i] = log_psd(dataset.samples[i])
+        values[i] = log_psd(dataset.trial(i))
 
     map_trials(fill, len(dataset))
     return FeatureSet(values, bin_freqs, dataset.channel_names, dataset.trial_ids,

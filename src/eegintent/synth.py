@@ -7,9 +7,9 @@ the gamma component down at temporal channels, so the generator is its own
 ground truth for the statistics and decoding stages.
 
 generate_trial returns one trial's samples; generate_dataset rounds each to
-float32 on data.map_trials's pool and fills a Dataset with them or, given a
-Welch config, a feature table with their spectral.welch_kernel rows, never
-holding the trial table.
+float32 on data.map_trials's pool and hands it to a Dataset's table, to the
+spectral.welch_kernel row of a feature table, or to data.write_trials's
+blob; the last two never hold the trial table.
 
 Determinism contract: every trial draws from its own generator seeded with
 seed XOR splitmix64(trial_id), and the domain label only multiplies
@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codec import Schema
-from .data import N_CLASSES, AcquisitionSpec, Dataset, blocked_matmul, map_trials
+from .data import N_CLASSES, AcquisitionSpec, Dataset, blocked_matmul, map_trials, write_trials
 from .errors import NonFiniteSample
 from .montage import Montage, Region, default_montage
 from .spectral import FeatureSet, WelchConfig, welch_kernel
@@ -217,10 +217,11 @@ def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
     return samples
 
 
-def generate_dataset(config: SynthConfig, welch: WelchConfig | None = None):
+def generate_dataset(config: SynthConfig, welch: WelchConfig | None = None, *, path=None):
     """N_CLASSES * n_trials_per_class trials of the default acquisition spec and
     montage, classes round-robin, domains Bernoulli: the float32 Dataset or,
-    given `welch`, the FeatureSet of its extract_feature_set.
+    given `welch`, the FeatureSet of its extract_feature_set or, given a
+    manifest `path`, the Dataset of the blob data.write_trials writes beside it.
 
     A pure function of the config: per-trial generators are derived from
     config.seed, so trial order and prior draws cannot leak between trials.
@@ -231,21 +232,28 @@ def generate_dataset(config: SynthConfig, welch: WelchConfig | None = None):
     spec = AcquisitionSpec()
     if welch is not None:
         bin_freqs, log_psd = welch_kernel(spec, welch)
-    width = spec.n_samples if welch is None else len(bin_freqs)
-    table = np.empty((N_CLASSES * config.n_trials_per_class, spec.n_channels, width), np.float32)
-    trial_ids = np.arange(len(table))
-    domains = np.empty(len(table), dtype=np.int64)
+    trial_ids = np.arange(N_CLASSES * config.n_trials_per_class)
+    domains = np.empty(len(trial_ids), dtype=np.int64)
 
-    def fill(tid: int) -> None:
+    def make(tid: int) -> np.ndarray:
         rng = np.random.default_rng(trial_seed(config.seed, tid))
         domains[tid] = rng.random() < config.misarticulation_rate
         trial = generate_trial(tid % N_CLASSES, domains[tid], config, montage, rng, spec)
         trial = trial.astype(np.float32)
         if not np.isfinite(trial).all():
             raise NonFiniteSample(tid)
-        table[tid] = trial if welch is None else log_psd(trial)
+        return trial
 
-    map_trials(fill, len(table))
+    if path is not None:
+        table = write_trials(path, spec, len(trial_ids), make)
+    else:
+        width = spec.n_samples if welch is None else len(bin_freqs)
+        table = np.empty((len(trial_ids), spec.n_channels, width), np.float32)
+
+        def fill(tid: int) -> None:
+            table[tid] = make(tid) if welch is None else log_psd(make(tid))
+
+        map_trials(fill, len(trial_ids))
     names = montage.channel_names[: spec.n_channels]
     if welch is None:
         return Dataset(spec, names, table, trial_ids, trial_ids % N_CLASSES, domains)

@@ -4,12 +4,15 @@ import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eegintent
+from eegintent import spectral
 from eegintent.cli import config_hash, default_run_config, load_run_config, main
 from eegintent.data import AcquisitionSpec, load_dataset, save_dataset
 from eegintent.spectral import BandTable, read_features
@@ -43,15 +46,19 @@ def run(*argv):
     return main(list(argv))
 
 
+def _cap_child():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 30, 1 << 30))
+
+
 def run_capped(*argv):
-    """The CLI in a subprocess whose address space is capped at 2 GiB, so an
-    oversized allocation fails there instead of taking the machine's memory."""
-    cap = 2 << 30
+    """The CLI in a subprocess whose address space is capped at 2 GiB and
+    whose files at 1 GiB, so an oversized allocation or write fails there
+    instead of taking the machine's memory or disk."""
     env = {**os.environ, "PYTHONPATH": str(Path(eegintent.__file__).parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "eegintent.cli", *argv], capture_output=True, text=True,
-        env=env, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        env=env, timeout=120, preexec_fn=_cap_child,
     )
 
 
@@ -275,7 +282,8 @@ class TestExitCodes:
         tiny = load_dataset(tiny_features.parent / "dataset.json")
         spec = AcquisitionSpec(sample_rate_hz=250.0, n_channels=32, trial_seconds=6.0)
         save_dataset(replace(tiny, spec=spec, channel_names=tiny.channel_names[:32],
-                             samples=tiny.samples[:, :32]), tmp_path / "set.json",
+                             samples=[tiny.trial(i)[:32] for i in range(len(tiny))]),
+                     tmp_path / "set.json",
                      config_hash="")
         features = tmp_path / "features.bin"
         assert run("features", "--dataset", str(tmp_path / "set.json"),
@@ -375,14 +383,16 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_memory_error_named(self, tmp_path):
-        # 40 million trials: a 14 TiB trial table
+        # 40 million trials: a 14 TiB blob, refused before its first trial
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"synth": {"n_trials_per_class": 10_000_000}}))
         proc = run_capped("synth", "--config", str(cfg_path), "--out", str(tmp_path))
         assert proc.returncode == 1
-        assert "error: synth: OutOfMemory: " in proc.stderr
+        assert "error: synth: IoFailure: cannot write " in proc.stderr
+        assert f"dataset.bin: {40_000_000 * 64 * 1500 * 4} bytes needed, " in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "dataset.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_cell_too_small_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
@@ -422,6 +432,91 @@ class TestExitCodes:
             assert code == 1, stage
             assert f"{stage}: MalformedManifest" in err and "features.bin" in err
             assert "Traceback" not in err and not out.exists()
+
+
+def listing(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+TRIAL_BYTES = 64 * 1500 * 4  # one default trial in the dataset blob
+
+
+class TestStreamedStages:
+    """synth writes and features reads the dataset blob one trial at a time."""
+
+    @pytest.fixture()
+    def no_features(self, monkeypatch):
+        """Fails a test in which the Welch kernel is built, i.e. features are computed."""
+        def refuse(*args):
+            raise AssertionError("features computed")
+        monkeypatch.setattr(spectral, "welch_kernel", refuse)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_failed_synth_keeps_previous_files(self, tmp_path, tiny_config_path, capsys):
+        out = tmp_path / "run"
+        assert run("synth", "--config", str(tiny_config_path), "--out", str(out)) == 0
+        before = listing(out)
+        # 1e38 microvolts of noise overflows float32 part-way through the blob
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"synth": {"n_trials_per_class": 10, "pink_noise_scale": 1e38}}))
+        assert run("synth", "--config", str(bad), "--out", str(out)) == 1
+        assert "error: synth: NonFiniteSample: trial " in capsys.readouterr().err
+        assert listing(out) == before  # the same two files: no temporary left
+
+    def test_smaller_synth_over_larger_leaves_no_tail(self, tmp_path):
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        for per_class, directory in ((100, out), (10, out), (10, fresh)):
+            cfg = tmp_path / f"c{per_class}.json"
+            cfg.write_text(json.dumps({"synth": {"n_trials_per_class": per_class}}))
+            assert run("synth", "--config", str(cfg), "--out", str(directory)) == 0
+        assert (out / "dataset.bin").stat().st_size == 40 * TRIAL_BYTES
+        assert listing(out) == listing(fresh)
+        assert len(load_dataset(out / "dataset.json")) == 40
+
+    def test_non_finite_trials_named_before_features(self, tmp_path, tiny_features, capsys,
+                                                     no_features):
+        for name in ("dataset.json", "dataset.bin"):
+            shutil.copy(tiny_features.parent / name, tmp_path / name)
+        blob = bytearray((tmp_path / "dataset.bin").read_bytes())
+        for trial, sample in ((3, 5), (1, 700)):
+            offset = trial * TRIAL_BYTES + 4 * sample
+            blob[offset : offset + 4] = np.float32(np.nan).tobytes()
+        (tmp_path / "dataset.bin").write_bytes(bytes(blob))
+        out = tmp_path / "features.bin"
+        assert run("features", "--dataset", str(tmp_path / "dataset.json"), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "error: features: NonFiniteSample: trial 1: samples contain non-finite" in err
+        assert not out.exists()
+
+    def test_truncated_blob_named_before_features(self, tmp_path, tiny_features, capsys,
+                                                  no_features):
+        shutil.copy(tiny_features.parent / "dataset.json", tmp_path / "dataset.json")
+        blob = (tiny_features.parent / "dataset.bin").read_bytes()
+        (tmp_path / "dataset.bin").write_bytes(blob[: 5 * TRIAL_BYTES // 2])
+        out = tmp_path / "features.bin"
+        assert run("features", "--dataset", str(tmp_path / "dataset.json"), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "error: features: DimensionMismatch: trial 2: expected bytes of dataset.bin" in err
+        assert not out.exists()
+
+    def test_stage_chain_peaks_below_a_quarter_of_the_trial_table(self, tmp_path):
+        # the default 200 trials: a 76.8 MB trial table that neither stage holds
+        table_bytes = 200 * TRIAL_BYTES
+        features = tmp_path / "features.bin"
+        peaks = []
+        for argv in (["synth", "--out", str(tmp_path)],
+                     ["features", "--dataset", str(tmp_path / "dataset.json"),
+                      "--out", str(features)]):
+            tracemalloc.start()
+            try:
+                assert run(*argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # numpy's buffers are traced: synth holds a float64 trial, and features
+        # its float32 table of 50 Welch bins per channel
+        assert 2 * TRIAL_BYTES < peaks[0] < table_bytes / 4
+        assert 200 * 64 * 50 * 4 < peaks[1] < table_bytes / 4
 
 
 class TestReport:

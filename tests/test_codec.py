@@ -107,7 +107,7 @@ def test_pinned_files_round_trip(files):
 
 
 def test_features_read_as_the_float32_blob(files):
-    # like a dataset's samples: the blob itself, not a float64 copy
+    # the blob itself, read-only, not a float64 copy
     values = read_features(files["features.bin"]).values
     _, blob = header_and_blob(files["features.bin"])
     assert values.dtype == np.float32 and not values.flags.writeable

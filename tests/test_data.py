@@ -114,7 +114,10 @@ class TestRoundTrip:
         for name in ("trial_ids", "class_labels", "domain_labels"):
             assert getattr(loaded, name).dtype == np.int64
             assert np.array_equal(getattr(loaded, name), getattr(ds, name))
-        assert loaded.samples.tobytes() == ds.samples.tobytes()
+        # read one trial at a time from the blob, each float32 and read-only
+        trials = [loaded.trial(i) for i in range(len(loaded))]
+        assert all(t.dtype == np.float32 and not t.flags.writeable for t in trials)
+        assert np.stack(trials).tobytes() == ds.samples.tobytes()
 
     def test_second_save_identical_bytes(self, tmp_path):
         ds = make_dataset(5)

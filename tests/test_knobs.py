@@ -16,6 +16,7 @@ KEPT = {
     "codec.read_header(blob)",  # False for the dataset manifest
     "errors.DimensionMismatch.__init__(what)",  # the blob layout messages
     "synth.generate_dataset(welch)",  # None for the trial table, a config for features
+    "synth.generate_dataset(path)",  # None in memory, a manifest path for the blob
 }
 
 

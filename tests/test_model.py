@@ -279,6 +279,13 @@ class TestMmd:
         with pytest.raises(EmptyGroup):
             mmd_rbf(np.zeros((0, 3)), np.zeros((2, 3)), 1.0)
 
+    @pytest.mark.parametrize("x, y", [(np.zeros(3), np.zeros((2, 3))),
+                                      (np.zeros((2, 3)), np.zeros(3)),
+                                      (np.zeros((2, 3)), np.zeros((2, 4)))])
+    def test_groups_are_batches_of_one_width(self, x, y):
+        with pytest.raises(ShapeMismatch, match="MMD needs two groups of one width"):
+            mmd_rbf(x, y, 1.0)
+
 
 class TestMedianHeuristic:
     """mmd_rbf with bandwidth None: sigma^2 = median pairwise squared

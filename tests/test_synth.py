@@ -227,6 +227,19 @@ class TestGenerateDataset:
         # two workers: only trials 6 and 7 can start before 8-11 are cancelled
         assert 5 in started and max(started) <= 7
 
+    def test_pool_gets_one_chunk_of_trials_at_a_time(self, monkeypatch):
+        patch_cores(monkeypatch, 4)
+        monkeypatch.setattr(data, "_MAP_CHUNK", 4)
+        started = fail_trial_5(monkeypatch, seed=0)
+        with pytest.raises(UnknownChannel):
+            generate_dataset(SynthConfig(n_trials_per_class=3, seed=0))
+        # four workers: trial 5 fails in the second chunk (4-7), and the third
+        # (8-11) is never handed out, though two workers are free
+        assert 5 in started and max(started) <= 7
+        done = []
+        data.map_trials(done.append, 10)
+        assert sorted(done) == list(range(10))
+
     def test_cli_synth_names_trial_error(self, monkeypatch, tmp_path, capsys):
         fail_trial_5(monkeypatch, seed=0)
         assert main(["synth", "--out", str(tmp_path)]) == 1
