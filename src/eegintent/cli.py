@@ -295,7 +295,7 @@ def run_report(cfg: RunConfig, n_seeds: int, out_dir: Path) -> dict:
     per_seed = []
     for i in range(n_seeds):
         synth_cfg = replace(cfg.synth, seed=cfg.synth.seed + i)
-        features = generate_dataset(synth_cfg, cfg.welch)  # streamed
+        features = extract_feature_set(generate_dataset(synth_cfg), cfg.welch)
         if i == 0:
             maps = _band_maps(cfg, features)
             _write_maps(maps, out_dir / "topomaps", chash)

@@ -2,10 +2,10 @@
 blocking, and splitting.
 
 A dataset is a read-only float32 [trials x channels x samples] table in
-microvolts, in memory or read trial by trial from its blob, plus int64 trial
-ids, class labels and domain labels (1 = misarticulated). On disk it is a JSON
-manifest, which names the domains as DOMAIN_NAMES, plus one blob that holds
-trial i channel-major as little-endian float32 at byte
+microvolts, in memory, read from its blob or made trial by trial, plus int64
+trial ids, class labels and domain labels (1 = misarticulated). On disk it is
+a JSON manifest, which names the domains as DOMAIN_NAMES, plus one blob that
+holds trial i channel-major as little-endian float32 at byte
 i * channels * samples * 4: a round trip is bit-exact.
 """
 
@@ -16,6 +16,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -106,12 +107,12 @@ def check_channel_names(names, n_channels: int) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class Dataset:
     """An acquisition spec, the channel ordering, and the trial table (see the
-    module docstring), in memory or the path of its blob; construction checks
-    the labels and the table's shape and finiteness, naming a bad trial."""
+    module docstring): in memory, the path of its blob, or a maker of trial i.
+    Construction checks the labels, and a table in memory's shape and values."""
 
     spec: AcquisitionSpec
     channel_names: tuple[str, ...]
-    samples: np.ndarray | Path = field(repr=False)
+    samples: np.ndarray | Path | Callable[[int], np.ndarray] = field(repr=False)
     trial_ids: np.ndarray
     class_labels: np.ndarray
     domain_labels: np.ndarray  # 1 = misarticulated
@@ -123,8 +124,8 @@ class Dataset:
         for name, array in zip(("trial_ids", "class_labels", "domain_labels"), labels):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        ids = self.trial_ids
-        if not isinstance(self.samples, Path):  # a blob's size is load_dataset's check
+        if not (isinstance(self.samples, Path) or callable(self.samples)):
+            ids = self.trial_ids
             samples = np.ascontiguousarray(self.samples, dtype=np.float32).view()
             samples.flags.writeable = False
             object.__setattr__(self, "samples", samples)
@@ -133,17 +134,16 @@ class Dataset:
                 raise ValueError(f"samples of shape {samples.shape} for {len(ids)} trials")
             if len(ids) and samples.shape[1:] != expected:  # one shape: the first trial is named
                 raise DimensionMismatch(int(ids[0]), expected, samples.shape[1:])
-        # one trial at a time: no boolean temporary the size of the table
-        for i, trial_id in enumerate(ids):
-            if not np.isfinite(self.trial(i)).all():
-                raise NonFiniteSample(int(trial_id))
+            _checked_finite(self)
 
     def __len__(self) -> int:
         return len(self.trial_ids)
 
     def trial(self, i: int) -> np.ndarray:
-        """Trial i, read-only float32: a row of the table, or one os.pread from the
-        blob into a buffer of its own (a memory map's pages would count as resident)."""
+        """Trial i, read-only float32: a row of the table, the maker's, or one os.pread
+        from the blob (a memory map's pages would count as resident)."""
+        if callable(self.samples):
+            return self.samples(i)
         if not isinstance(self.samples, Path):
             return self.samples[i]
         nbytes = 4 * self.spec.n_channels * self.spec.n_samples
@@ -152,6 +152,14 @@ class Dataset:
         if len(raw) != nbytes:
             raise IoFailure(f"{self.samples}: trial {self.trial_ids[i]} is cut short")
         return np.frombuffer(raw, dtype="<f4").reshape(self.spec.n_channels, self.spec.n_samples)
+
+
+def _checked_finite(dataset: Dataset) -> Dataset:
+    """`dataset`, read one trial at a time; NonFiniteSample names a non-finite one."""
+    for i, trial_id in enumerate(dataset.trial_ids):
+        if not np.isfinite(dataset.trial(i)).all():
+            raise NonFiniteSample(int(trial_id))
+    return dataset
 
 
 def _usable_cores() -> int:
@@ -250,7 +258,7 @@ def save_dataset(dataset: Dataset, path, *, config_hash: str) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a manifest written by save_dataset and validate every trial.
+    """Read a manifest written by save_dataset and scan every trial of its blob.
 
     The entries must give save_dataset's layout: one blob file, trial i at
     byte i * channels * samples * 4 within the blob's size, whose trials the
@@ -278,8 +286,8 @@ def load_dataset(path) -> Dataset:
             i = size // nbytes
             raise DimensionMismatch(int(trial_ids[i]), f"{i * nbytes}..{(i + 1) * nbytes}",
                                     f"a {size}-byte file", what=f"bytes of {blob_file}")
-        return Dataset(spec, manifest["channel_names"], blob_path,
-                       trial_ids, class_labels, domain_labels)
+        return _checked_finite(Dataset(spec, manifest["channel_names"], blob_path,
+                                       trial_ids, class_labels, domain_labels))
 
 
 @dataclass(frozen=True)

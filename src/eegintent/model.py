@@ -319,7 +319,8 @@ def mmd_rbf(x, y, bandwidth: float | None) -> float:
     """Biased (V-statistic) squared MMD with an RBF kernel: w.T K w over
     [x; y], two [vectors x dims] groups (ShapeMismatch otherwise). bandwidth
     None means the median heuristic on [x; y], as ModelConfig.mmd_bandwidth
-    None does per batch."""
+    None does per batch. No stage calls it: it is kept as the public entry
+    point that acceptance criterion 2 checks against its double-sum oracle."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ShapeMismatch(f"MMD needs two groups of one width, got {x.shape} and {y.shape}")

@@ -4,8 +4,8 @@ The Welch PSD uses periodic Hann windows, per-segment mean removal and
 one-sided density scaling in microvolt^2 per Hz. welch_kernel computes it per
 trial at the kept bins only, by data.blocked_matmul, so a trial's features
 are the same at any worker or BLAS thread count. Its reference, one fft per
-segment over every bin, lives in tests/oracles.py. A feature set holds its
-values as float32, as the feature file does, on every route.
+segment over every bin, lives in tests/oracles.py. extract_feature_set is the
+one route from trials to features, which it holds as float32 like the file.
 """
 
 from __future__ import annotations
@@ -196,9 +196,6 @@ class FeatureSet:
     @property
     def n_bins(self) -> int:
         return self.values.shape[2]
-
-    def __len__(self) -> int:
-        return self.n_trials
 
     def flat(self) -> np.ndarray:
         """[trials x (channels * bins)] view for the model."""

@@ -6,10 +6,10 @@ trials scale the delta/alpha components up at frontal-central channels and
 the gamma component down at temporal channels, so the generator is its own
 ground truth for the statistics and decoding stages.
 
-generate_trial returns one trial's samples; generate_dataset rounds each to
-float32 on data.map_trials's pool and hands it to a Dataset's table, to the
-spectral.welch_kernel row of a feature table, or to data.write_trials's
-blob; the last two never hold the trial table.
+generate_trial returns one trial's samples; generate_dataset's Dataset makes
+each trial, rounded to float32, when it is read, or reads it from the blob
+data.write_trials wrote. Neither holds the trial table, and features come
+from spectral.extract_feature_set alone.
 
 Determinism contract: every trial draws from its own generator seeded with
 seed XOR splitmix64(trial_id), and the domain label only multiplies
@@ -29,10 +29,10 @@ from functools import lru_cache
 import numpy as np
 
 from .codec import Schema
-from .data import N_CLASSES, AcquisitionSpec, Dataset, blocked_matmul, map_trials, write_trials
+from .data import N_CLASSES, AcquisitionSpec, Dataset, blocked_matmul, write_trials
 from .errors import NonFiniteSample
 from .montage import Montage, Region, default_montage
-from .spectral import FeatureSet, WelchConfig, welch_kernel
+from .spectral import WelchConfig
 
 _MASK64 = (1 << 64) - 1
 
@@ -217,44 +217,33 @@ def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
     return samples
 
 
-def generate_dataset(config: SynthConfig, welch: WelchConfig | None = None, *, path=None):
+def generate_dataset(config: SynthConfig, *, path=None) -> Dataset:
     """N_CLASSES * n_trials_per_class trials of the default acquisition spec and
-    montage, classes round-robin, domains Bernoulli: the float32 Dataset or,
-    given `welch`, the FeatureSet of its extract_feature_set or, given a
-    manifest `path`, the Dataset of the blob data.write_trials writes beside it.
+    montage, classes round-robin, domains Bernoulli from each trial's first
+    draw: a Dataset whose trial(i) makes trial i as read-only float32, raising
+    a trial's error as is (NonFiniteSample if it is not finite in float32), or,
+    given a manifest `path`, the Dataset of the blob data.write_trials writes
+    beside it, whose disk check comes before anything else.
 
     A pure function of the config: per-trial generators are derived from
     config.seed, so trial order and prior draws cannot leak between trials.
-    A trial's error is raised as is (NonFiniteSample names a trial that is not
-    finite in float32), and trials not yet started are cancelled.
     """
-    montage = default_montage()
-    spec = AcquisitionSpec()
-    if welch is not None:
-        bin_freqs, log_psd = welch_kernel(spec, welch)
-    trial_ids = np.arange(N_CLASSES * config.n_trials_per_class)
-    domains = np.empty(len(trial_ids), dtype=np.int64)
+    montage, spec = default_montage(), AcquisitionSpec()
+    n_trials = N_CLASSES * config.n_trials_per_class
+
+    def first_draw(tid: int):
+        rng = np.random.default_rng(trial_seed(config.seed, tid))
+        return rng, int(rng.random() < config.misarticulation_rate)
 
     def make(tid: int) -> np.ndarray:
-        rng = np.random.default_rng(trial_seed(config.seed, tid))
-        domains[tid] = rng.random() < config.misarticulation_rate
-        trial = generate_trial(tid % N_CLASSES, domains[tid], config, montage, rng, spec)
-        trial = trial.astype(np.float32)
+        rng, mis = first_draw(tid)
+        trial = generate_trial(tid % N_CLASSES, mis, config, montage, rng, spec).astype(np.float32)
         if not np.isfinite(trial).all():
             raise NonFiniteSample(tid)
+        trial.flags.writeable = False
         return trial
 
-    if path is not None:
-        table = write_trials(path, spec, len(trial_ids), make)
-    else:
-        width = spec.n_samples if welch is None else len(bin_freqs)
-        table = np.empty((len(trial_ids), spec.n_channels, width), np.float32)
-
-        def fill(tid: int) -> None:
-            table[tid] = make(tid) if welch is None else log_psd(make(tid))
-
-        map_trials(fill, len(trial_ids))
-    names = montage.channel_names[: spec.n_channels]
-    if welch is None:
-        return Dataset(spec, names, table, trial_ids, trial_ids % N_CLASSES, domains)
-    return FeatureSet(table, bin_freqs, names, trial_ids, trial_ids % N_CLASSES, domains)
+    samples = make if path is None else write_trials(path, spec, n_trials, make)
+    trial_ids = np.arange(n_trials)
+    return Dataset(spec, montage.channel_names[: spec.n_channels], samples, trial_ids,
+                   trial_ids % N_CLASSES, [first_draw(tid)[1] for tid in range(n_trials)])

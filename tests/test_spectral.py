@@ -192,7 +192,7 @@ def extract_features(trial, config, spec):
 def synth_trials(n_channels, n_trials_per_class=1, offset=0.0):
     """Synthetic trials cut to their first channels and shifted by `offset` uV."""
     dataset = generate_dataset(SynthConfig(n_trials_per_class=n_trials_per_class, seed=7))
-    return list(dataset.samples[:, :n_channels] + offset)
+    return list(np.stack([dataset.trial(i)[:n_channels] for i in range(len(dataset))]) + offset)
 
 
 class TestExtractFeatures:

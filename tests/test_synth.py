@@ -10,7 +10,7 @@ from scipy import stats as sps
 
 from eegintent import data, synth
 from eegintent.cli import RunConfig, main
-from eegintent.data import AcquisitionSpec
+from eegintent.data import AcquisitionSpec, Dataset, load_dataset, save_dataset
 from eegintent.errors import NonFiniteSample, UnknownChannel
 from eegintent.montage import Region, default_montage
 from eegintent.spectral import WelchConfig, extract_feature_set
@@ -30,7 +30,7 @@ SPEC = AcquisitionSpec()
 
 def patch_cores(monkeypatch, n):
     """Make the process see n usable cores; returns the list that records the
-    worker count of every pool generate_dataset opens."""
+    worker count of every pool data.map_trials opens."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     sizes = []
 
@@ -63,6 +63,25 @@ def fail_trial_5(monkeypatch, seed, nan=False):
 
     monkeypatch.setattr(synth, "generate_trial", fake_trial)
     return started
+
+
+def serial_trials(cfg, n_trials):
+    """(float32 bytes, domain label) of each trial, regenerated one after
+    another from its sub-seed."""
+    trials, domains = [], []
+    for tid in range(n_trials):
+        rng = np.random.default_rng(trial_seed(cfg.seed, tid))
+        domains.append(rng.random() < cfg.misarticulation_rate)
+        trial = generate_trial(tid % 4, domains[-1], cfg, MONTAGE, rng, SPEC)
+        trials.append(trial.astype(np.float32).tobytes())
+    return trials, domains
+
+
+def as_table(dataset):
+    """The same trials and labels, held in memory as one table."""
+    table = np.stack([dataset.trial(i) for i in range(len(dataset))])
+    return Dataset(dataset.spec, dataset.channel_names, table, dataset.trial_ids,
+                   dataset.class_labels, dataset.domain_labels)
 
 
 class TestPinkNoise:
@@ -174,7 +193,8 @@ class TestGenerateDataset:
         a = generate_dataset(cfg)
         b = generate_dataset(cfg)
         assert np.array_equal(a.domain_labels, b.domain_labels)
-        assert a.samples.tobytes() == b.samples.tobytes()
+        for i in range(len(a)):
+            assert a.trial(i).tobytes() == b.trial(i).tobytes()
 
     def test_misarticulation_rate_within_binomial_bound(self):
         # 20 seeds x 40 trials; oracle: exact binomial 99% interval
@@ -187,29 +207,62 @@ class TestGenerateDataset:
         lo, hi = sps.binom.interval(0.99, n, 0.3)
         assert lo <= total <= hi
 
-    def test_trials_independent_of_generation_order(self, monkeypatch):
+    def test_trials_independent_of_generation_order(self, monkeypatch, tmp_path):
         # every trial regenerated serially from its sub-seed must match the
-        # pooled dataset byte for byte at 1, 2 and 3 workers, with the
+        # blob the pool writes byte for byte at 1, 2 and 3 workers, with the
         # interpreter switching threads as often as it can
         cfg = SynthConfig(n_trials_per_class=3, seed=13)
-        trials, domains = [], []
-        for tid in range(12):
-            rng = np.random.default_rng(trial_seed(cfg.seed, tid))
-            domains.append(rng.random() < cfg.misarticulation_rate)
-            trial = generate_trial(tid % 4, domains[-1], cfg, MONTAGE, rng, SPEC)
-            trials.append(trial.astype(np.float32).tobytes())
+        trials, domains = serial_trials(cfg, 12)
         interval = sys.getswitchinterval()
         for cores in (1, 2, 3):
             pools = patch_cores(monkeypatch, cores)
+            manifest = tmp_path / f"{cores}.json"
             sys.setswitchinterval(1e-6)
             try:
                 ds = generate_dataset(cfg)
+                save_dataset(ds, manifest, config_hash="")
             finally:
                 sys.setswitchinterval(interval)
             assert pools == [cores]
             assert ds.trial_ids.tolist() == list(range(12))
             assert ds.domain_labels.tolist() == domains
-            assert [ds.samples[tid].tobytes() for tid in range(12)] == trials
+            assert manifest.with_suffix(".bin").read_bytes() == b"".join(trials)
+
+    def test_trial_made_when_read_read_only_float32(self):
+        cfg = SynthConfig(n_trials_per_class=2, seed=31)
+        trials, _ = serial_trials(cfg, 8)
+        ds = generate_dataset(cfg)
+        for tid in range(8):
+            trial = ds.trial(tid)
+            assert trial.dtype == np.float32 and not trial.flags.writeable
+            assert trial.tobytes() == trials[tid]
+
+    def test_generating_makes_no_trial(self, monkeypatch):
+        started = fail_trial_5(monkeypatch, seed=0)
+        ds = generate_dataset(SynthConfig(n_trials_per_class=3, seed=0))
+        assert len(ds) == 12 and started == set()
+        for tid in range(5):
+            assert not ds.trial(tid).any()
+        with pytest.raises(UnknownChannel):
+            ds.trial(5)
+        assert started == set(range(6))
+
+    def test_synth_reads_no_trial_back(self, monkeypatch, tmp_path):
+        calls = []
+        pread = os.pread
+
+        def counting_pread(*args):
+            calls.append(args[2])
+            return pread(*args)
+
+        monkeypatch.setattr(os, "pread", counting_pread)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text('{"synth": {"n_trials_per_class": 3}}')
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert calls == []
+        # load_dataset scans the blob it reads, one trial at a time
+        load_dataset(tmp_path / "dataset.json")
+        assert len(calls) == 12
 
     def test_core_count_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -222,7 +275,8 @@ class TestGenerateDataset:
         patch_cores(monkeypatch, 2)
         started = fail_trial_5(monkeypatch, seed=0)
         with pytest.raises(UnknownChannel) as info:
-            generate_dataset(SynthConfig(n_trials_per_class=3, seed=0))
+            extract_feature_set(generate_dataset(SynthConfig(n_trials_per_class=3, seed=0)),
+                                WelchConfig())
         assert str(info.value) == "channel 'Xz' is not in the montage"
         # two workers: only trials 6 and 7 can start before 8-11 are cancelled
         assert 5 in started and max(started) <= 7
@@ -232,7 +286,8 @@ class TestGenerateDataset:
         monkeypatch.setattr(data, "_MAP_CHUNK", 4)
         started = fail_trial_5(monkeypatch, seed=0)
         with pytest.raises(UnknownChannel):
-            generate_dataset(SynthConfig(n_trials_per_class=3, seed=0))
+            extract_feature_set(generate_dataset(SynthConfig(n_trials_per_class=3, seed=0)),
+                                WelchConfig())
         # four workers: trial 5 fails in the second chunk (4-7), and the third
         # (8-11) is never handed out, though two workers are free
         assert 5 in started and max(started) <= 7
@@ -264,14 +319,14 @@ class TestGenerateDataset:
 
 
 class TestStreamedFeatures:
-    """generate_dataset with a Welch config: the features of each trial,
-    without the trial table."""
+    """extract_feature_set of generate_dataset's Dataset: the features of each
+    trial, made as it is read, without the trial table."""
 
     def test_equal_to_features_of_dataset_rounded(self):
         cfg = SynthConfig(n_trials_per_class=3, seed=21)
         dataset = generate_dataset(cfg)
-        expected = extract_feature_set(dataset, WelchConfig())
-        streamed = generate_dataset(cfg, WelchConfig())
+        expected = extract_feature_set(as_table(dataset), WelchConfig())
+        streamed = extract_feature_set(dataset, WelchConfig())
         assert streamed.values.dtype == expected.values.dtype == np.float32
         assert streamed.values.tobytes() == expected.values.tobytes()
         assert streamed.bin_freqs_hz.tobytes() == expected.bin_freqs_hz.tobytes()
@@ -288,13 +343,13 @@ class TestStreamedFeatures:
             monkeypatch.setattr(data, "_usable_cores", lambda: cores)
             sys.setswitchinterval(1e-6)
             try:
-                dataset = generate_dataset(cfg)
-                features = extract_feature_set(dataset, WelchConfig()).values
-                streamed = generate_dataset(cfg, WelchConfig()).values
+                table = as_table(generate_dataset(cfg))
+                features = extract_feature_set(table, WelchConfig()).values
+                streamed = extract_feature_set(generate_dataset(cfg), WelchConfig()).values
                 assert features.dtype == streamed.dtype == np.float32
             finally:
                 sys.setswitchinterval(interval)
-            runs.append((dataset.samples.tobytes(), features.tobytes(), streamed.tobytes()))
+            runs.append((table.samples.tobytes(), features.tobytes(), streamed.tobytes()))
         assert runs[0] == runs[1]
         assert runs[0][1] == runs[0][2]
 
@@ -302,7 +357,8 @@ class TestStreamedFeatures:
         patch_cores(monkeypatch, 2)
         started = fail_trial_5(monkeypatch, seed=0, nan=True)
         with pytest.raises(NonFiniteSample, match="^trial 5: ") as info:
-            generate_dataset(SynthConfig(n_trials_per_class=3, seed=0), WelchConfig())
+            extract_feature_set(generate_dataset(SynthConfig(n_trials_per_class=3, seed=0)),
+                                WelchConfig())
         assert info.value.trial_id == 5
         # two workers: only trials 6 and 7 can start before 8-11 are cancelled
         assert 5 in started and max(started) <= 7
@@ -313,7 +369,7 @@ class TestStreamedFeatures:
         table_bytes = 4 * cfg.n_trials_per_class * SPEC.n_channels * SPEC.n_samples * 4
         tracemalloc.start()
         try:
-            features = generate_dataset(cfg, WelchConfig())
+            features = extract_feature_set(generate_dataset(cfg), WelchConfig())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
