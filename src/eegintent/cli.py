@@ -213,15 +213,20 @@ def _history_csv(history, chash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _train_on(cfg: RunConfig, train_set, mode: TrainMode):
-    """(params rounded to float32 as in a model file, model config, scaler, history)."""
-    model_cfg = _model_config(cfg, train_set.n_channels, train_set.bin_freqs_hz)
+def _scaled(train_set):
+    """(the scaler fitted on a train set, its rows standardized by it)."""
     scaler = FeatureScaler.fit(train_set.flat())
-    x = scaler.transform(train_set.flat())
+    return scaler, scaler.transform(train_set.flat())
+
+
+def _train_on(cfg: RunConfig, train_set, x, mode: TrainMode):
+    """(params rounded to float32 in place, as in a model file, model config,
+    history) of training on x, the train set's rows standardized."""
+    model_cfg = _model_config(cfg, train_set.n_channels, train_set.bin_freqs_hz)
     params, history = train(x, train_set.class_labels, train_set.domain_labels, model_cfg, mode)
     for layer in params.all_layers():
-        layer.w, layer.b = (a.astype(np.float32).astype(np.float64) for a in (layer.w, layer.b))
-    return params, model_cfg, scaler, history
+        layer.w[...], layer.b[...] = layer.w.astype(np.float32), layer.b.astype(np.float32)
+    return params, model_cfg, history
 
 
 def _evaluate_on(params, scaler, test_set):
@@ -233,7 +238,8 @@ def _cmd_train(cfg: RunConfig, args) -> int:
     features = read_features(args.features)
     mode = TrainMode(args.mode)
     train_set, _ = _split(cfg, features)
-    params, model_cfg, scaler, history = _train_on(cfg, train_set, mode)
+    scaler, x = _scaled(train_set)
+    params, model_cfg, history = _train_on(cfg, train_set, x, mode)
     chash = config_hash(cfg)
     out = Path(args.out or Path(cfg.out_dir) / f"model_{mode.value}.bin")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -290,20 +296,23 @@ def _comparison_table(mean_metrics: dict, n_seeds: int, chash: str) -> str:
 
 
 def run_report(cfg: RunConfig, n_seeds: int, out_dir: Path) -> dict:
-    """Full pipeline over n_seeds seeds; returns the report payload."""
+    """Full pipeline over n_seeds seeds; returns the report payload. A seed's
+    modes share its scaler, and each is evaluated and dropped before the next trains."""
     chash = config_hash(cfg)
     per_seed = []
     for i in range(n_seeds):
         synth_cfg = replace(cfg.synth, seed=cfg.synth.seed + i)
         features = extract_feature_set(generate_dataset(synth_cfg), cfg.welch)
         if i == 0:
-            maps = _band_maps(cfg, features)
-            _write_maps(maps, out_dir / "topomaps", chash)
+            _write_maps(_band_maps(cfg, features), out_dir / "topomaps", chash)
         train_set, test_set = _split(cfg, features)
+        del features
+        scaler, x = _scaled(train_set)
         row: dict = {"seed": synth_cfg.seed}
         for mode in TrainMode:
-            params, _, scaler, _ = _train_on(cfg, train_set, mode)
+            params = _train_on(cfg, train_set, x, mode)[0]
             row[mode.value] = _evaluate_on(params, scaler, test_set).to_dict()
+            del params
         per_seed.append(row)
 
     mean_metrics = {

@@ -121,10 +121,13 @@ class FeatureScaler(Schema):
         return cls(x.mean(axis=0), np.maximum(x.std(axis=0), 1e-6))
 
     def transform(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        """(x - mean) / std as one new float64 array, standardized in place."""
+        x = np.array(x, dtype=np.float64)
         if x.shape[-1:] != self.mean.shape:
             raise ShapeMismatch(f"features of shape {x.shape} for a scaler of dim {len(self.mean)}")
-        return (x - self.mean) / self.std
+        x -= self.mean
+        x /= self.std
+        return x
 
 
 def band_mask_bins(bin_freqs, bands: BandTable, gamma_sup: float) -> np.ndarray:
@@ -223,9 +226,13 @@ def _check_features(params: ModelParams, x: np.ndarray) -> None:
 
 
 def _view_rows(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The encoder's rows [x * mask; x], or x alone when the mask is the
-    identity and the two views coincide."""
-    return x if np.all(mask == 1.0) else np.vstack([x * mask, x])
+    """The encoder's rows [x * mask; x], written into one new array, or x
+    alone when the mask is the identity and the two views coincide."""
+    if np.all(mask == 1.0):
+        return x
+    rows = np.concatenate([x, x])
+    rows[: len(x)] *= mask
+    return rows
 
 
 def _first_layer(params: ModelParams, x):
@@ -282,14 +289,14 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def _mmd(e: np.ndarray, w: np.ndarray, bandwidth: float | None):
-    """(w.T K w, its gradient in e) for the RBF kernel K on the rows of e,
-    from one distance matrix. bandwidth None takes the median heuristic,
-    sigma^2 = median pairwise squared distance / 2, and the gradient includes
-    the median's own, through its one or two middle pairs in a stable sort;
-    where a middle distance ties another, the median has no derivative and
-    that order picks one side. A zero median, as when every row is the same,
-    gives (0.0, None)."""
+def _mmd(e: np.ndarray, w: np.ndarray, bandwidth: float | None, with_grad: bool):
+    """(w.T K w, its gradient in e or None without with_grad) for the RBF
+    kernel K on the rows of e, from one distance matrix. bandwidth None takes
+    the median heuristic, sigma^2 = median pairwise squared distance / 2, and
+    the gradient includes the median's own, through its one or two middle
+    pairs in a stable sort; where a middle distance ties another, the median
+    has no derivative and that order picks one side. A zero median, as when
+    every row is the same, gives (0.0, None)."""
     sq = _sq_dists(e, e)
     median = bandwidth is None
     if median:
@@ -301,6 +308,8 @@ def _mmd(e: np.ndarray, w: np.ndarray, bandwidth: float | None):
         bandwidth = np.sqrt(med / 2.0)
     k = np.exp(-sq / (2.0 * bandwidth**2))
     kw = k @ w
+    if not with_grad:
+        return float(w @ kw), None
     grad = (2.0 / bandwidth**2) * w[:, None] * (k @ (w[:, None] * e) - kw[:, None] * e)
     if median:  # dL/dmed = w.T (K * sq) w / med^2; d sq_ij / d e_i = 2 (e_i - e_j)
         mid = np.argsort(pairs, kind="stable")[(len(pairs) - 1) // 2 : len(pairs) // 2 + 1]
@@ -328,7 +337,7 @@ def mmd_rbf(x, y, bandwidth: float | None) -> float:
         raise EmptyGroup("MMD needs at least one vector per group")
     if bandwidth is not None and bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    return _mmd(np.vstack([x, y]), _mmd_weights(len(x), len(y)), bandwidth)[0]
+    return _mmd(np.vstack([x, y]), _mmd_weights(len(x), len(y)), bandwidth, False)[0]
 
 
 @dataclass(frozen=True)
@@ -361,7 +370,7 @@ def _step(params, z1, y_class, y_domain, config):
     if not single_domain:  # domain rows correct first, as mmd_rbf(correct, mis) stacks them
         order = np.argsort(y_domain, kind="stable")
         l_mmd, d_mmd = _mmd(emb_domain[order], _mmd_weights(n - n_mis, n_mis),
-                            config.mmd_bandwidth)
+                            config.mmd_bandwidth, config.lambda2 != 0.0)
     loss = LossBreakdown(
         l_class,
         l_domain,
@@ -374,11 +383,15 @@ def _step(params, z1, y_class, y_domain, config):
     cls_head_grads, d_emb_class = _stack_backward(params.class_head, cls_cache, probs / n,
                                                   relu_last=False)
 
-    # domain path: weighted cross-entropy plus the MMD alignment term
-    dom_head_grads, d_emb_domain = _stack_backward(
-        params.domain_head, dom_cache, config.lambda1 * probs_d / n, relu_last=False
-    )
-    if config.lambda2 != 0.0 and d_mmd is not None:
+    # domain path: weighted cross-entropy plus the MMD term; lambda1 0 needs no head backward
+    if config.lambda1 == 0.0:
+        dom_head_grads = [Layer(np.zeros_like(layer.w), np.zeros_like(layer.b))
+                          for layer in params.domain_head]
+        d_emb_domain = np.zeros_like(emb_domain)
+    else:
+        dom_head_grads, d_emb_domain = _stack_backward(
+            params.domain_head, dom_cache, config.lambda1 * probs_d / n, relu_last=False)
+    if d_mmd is not None:
         d_emb_domain[order] += config.lambda2 * d_mmd
 
     # one encoder backward for both views, rows aligned with the forward pass
@@ -443,6 +456,8 @@ def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
     pre-activation from P0 = R @ W_0, the Gram matrix R @ R.T and C, and W
     is formed once at the end; else it takes R @ W and W is updated densely."""
     (n, dim), first, lr = x.shape, params.encoder[0], cfg.learning_rate
+    # the layers after the first, less the domain head when a zero lambda1 keeps it fixed
+    trained = params.all_layers()[1 : None if cfg.lambda1 else -len(params.domain_head)]
     rows = _view_rows(params.mask, x)
     m = len(rows)
     span = m < dim
@@ -463,7 +478,7 @@ def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
             grads, d1, loss = _step(params, z1, y_class[batch], y_domain[batch], cfg)
             if not np.isfinite(loss.l_total):
                 raise NonFiniteLoss(epoch)
-            for layer, grad in zip(params.all_layers()[1:], grads.all_layers()):
+            for layer, grad in zip(trained, grads.all_layers()):
                 layer.w -= np.multiply(grad.w, lr, out=grad.w)  # no temporary
                 layer.b -= np.multiply(grad.b, lr, out=grad.b)
             first.b -= lr * d1.sum(axis=0)

@@ -264,13 +264,12 @@ def band_powers_from_features(
     if len(bin_freqs) < 2:
         raise EmptyBand(f"need at least two feature bins for the bin width, got {len(bin_freqs)}")
     df = bin_freqs[1] - bin_freqs[0]
-    psd = np.power(10.0, values, dtype=np.float64)
     out = []
-    for b in bands:
+    for b in bands:  # one band's float64 PSD at a time, not the whole table's
         mask = b.contains(bin_freqs)
         if not mask.any():
             raise EmptyBand(f"band {b.name} has no feature bins")
-        out.append(psd[..., mask].sum(axis=-1) * df)
+        out.append(np.power(10.0, values[..., mask], dtype=np.float64).sum(axis=-1) * df)
     return np.stack(out, axis=-1)
 
 

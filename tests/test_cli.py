@@ -15,6 +15,7 @@ import eegintent
 from eegintent import spectral
 from eegintent.cli import config_hash, default_run_config, load_run_config, main
 from eegintent.data import AcquisitionSpec, load_dataset, save_dataset
+from eegintent.model import FeatureScaler
 from eegintent.spectral import BandTable, read_features
 
 TINY_CONFIG = {
@@ -546,6 +547,14 @@ class TestReport:
         for svg in sorted((out_a / "topomaps").glob("*.svg")):
             twin = out_b / "topomaps" / svg.name
             assert svg.read_bytes() == twin.read_bytes()
+
+    def test_report_fits_one_scaler_per_seed(self, tmp_path, tiny_config_path, monkeypatch):
+        fitted = []
+        fit = FeatureScaler.fit.__func__
+        monkeypatch.setattr(FeatureScaler, "fit",
+                            classmethod(lambda cls, x: fitted.append(len(x)) or fit(cls, x)))
+        assert run("report", "--config", str(tiny_config_path), "--out", str(tmp_path)) == 0
+        assert len(fitted) == TINY_CONFIG["report"]["seeds"]  # both modes share a seed's split
 
     def test_report_matches_stage_chain(self, tmp_path):
         # one seed, so the chain and report share a config and a config_hash

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -654,9 +656,25 @@ class TestFeatureScaler:
         rng = np.random.default_rng(3)
         x = rng.normal(loc=5.0, scale=2.0, size=(200, 7))
         scaler = FeatureScaler.fit(x)
+        before = x.copy()
         z = scaler.transform(x)
+        assert np.array_equal(x, before)  # standardized in a copy, not in the caller's rows
         assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(z.std(axis=0), 1.0, atol=1e-12)
+
+    def test_transform_peak_is_its_result(self):
+        # the default training split: 120 float32 rows of 64 channels x 50 bins
+        x = np.random.default_rng(6).normal(size=(120, 64 * 50)).astype(np.float32)
+        scaler = FeatureScaler.fit(x)
+        tracemalloc.start()
+        try:
+            z = scaler.transform(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.dtype == np.float64
+        assert z.tobytes() == ((x.astype(np.float64) - scaler.mean) / scaler.std).tobytes()
+        assert peak < 1.1 * z.nbytes
 
     def test_constant_column_guard(self):
         x = np.ones((10, 3))

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -233,6 +234,23 @@ class TestExtractFeatures:
         as32 = band_powers_from_features(values, feats.bin_freqs_hz, BandTable())
         as64 = band_powers_from_features(values.astype(np.float64), feats.bin_freqs_hz, BandTable())
         assert as32.dtype == np.float64 and as32.tobytes() == as64.tobytes()
+
+    def test_band_powers_peak_below_the_float64_psd(self):
+        # the default 200 trials of float32 features, 64 channels x 50 bins
+        bin_freqs, _ = welch_kernel(AcquisitionSpec(), WelchConfig())
+        values = np.random.default_rng(8).normal(size=(200, 64, len(bin_freqs)))
+        values = values.astype(np.float32)
+        tracemalloc.start()
+        try:
+            powers = band_powers_from_features(values, bin_freqs, BandTable())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.size * 8  # the whole float64 PSD table is never held
+        psd, df = np.power(10.0, values, dtype=np.float64), bin_freqs[1] - bin_freqs[0]
+        whole = np.stack([psd[..., b.contains(bin_freqs)].sum(axis=-1) * df
+                          for b in BandTable()], axis=-1)
+        assert powers.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("offset", [0.0, 1000.0])
     @pytest.mark.parametrize("band", [(1.0, 50.0), (0.0, FS / 2)])  # the second keeps DC and Nyquist
