@@ -10,7 +10,7 @@ from .data import (
     save_dataset,
     stratified_split_indices,
 )
-from .evaluation import EvalReport, evaluate, macro_f1, predict
+from .evaluation import EvalReport, evaluate, macro_f1
 from .model import (
     FeatureScaler,
     LossBreakdown,
@@ -22,6 +22,7 @@ from .model import (
     forward,
     init_params,
     mmd_rbf,
+    predict,
     train,
 )
 from .montage import Montage, Region, default_montage

@@ -235,9 +235,8 @@ def _evaluate_on(params, scaler, test_set):
 
 
 def _cmd_train(cfg: RunConfig, args) -> int:
-    features = read_features(args.features)
     mode = TrainMode(args.mode)
-    train_set, _ = _split(cfg, features)
+    train_set = _split(cfg, read_features(args.features))[0]  # the features go before training
     scaler, x = _scaled(train_set)
     params, model_cfg, history = _train_on(cfg, train_set, x, mode)
     chash = config_hash(cfg)

@@ -1,8 +1,8 @@
-"""The trial table, its lossless on-disk format, the trial pool and its BLAS
+"""The trials, their lossless on-disk format, the trial pool and its BLAS
 blocking, and splitting.
 
-A dataset is a read-only float32 [trials x channels x samples] table in
-microvolts, in memory, read from its blob or made trial by trial, plus int64
+A dataset's trials are read-only float32 [channels x samples] arrays in
+microvolts, read from its blob or made by a maker of trial i, plus int64
 trial ids, class labels and domain labels (1 = misarticulated). On disk it is
 a JSON manifest, which names the domains as DOMAIN_NAMES, plus one blob that
 holds trial i channel-major as little-endian float32 at byte
@@ -106,60 +106,46 @@ def check_channel_names(names, n_channels: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An acquisition spec, the channel ordering, and the trial table (see the
-    module docstring): in memory, the path of its blob, or a maker of trial i.
-    Construction checks the labels, and a table in memory's shape and values."""
+    """An acquisition spec, the channel ordering, and the trials (see the
+    module docstring): the Path of their blob, or a maker, a function that
+    returns trial i. Construction checks the labels; TypeError for other samples."""
 
     spec: AcquisitionSpec
     channel_names: tuple[str, ...]
-    samples: np.ndarray | Path | Callable[[int], np.ndarray] = field(repr=False)
+    samples: Path | Callable[[int], np.ndarray] = field(repr=False)
     trial_ids: np.ndarray
     class_labels: np.ndarray
     domain_labels: np.ndarray  # 1 = misarticulated
 
     def __post_init__(self):
+        if not (isinstance(self.samples, Path) or callable(self.samples)):
+            raise TypeError(f"samples must be the Path of a blob or a maker of trial i, "
+                            f"got {type(self.samples).__name__}")
         names = check_channel_names(self.channel_names, self.spec.n_channels)
         object.__setattr__(self, "channel_names", names)
         labels = _check_labels(self.trial_ids, self.class_labels, self.domain_labels)
         for name, array in zip(("trial_ids", "class_labels", "domain_labels"), labels):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        if not (isinstance(self.samples, Path) or callable(self.samples)):
-            ids = self.trial_ids
-            samples = np.ascontiguousarray(self.samples, dtype=np.float32).view()
-            samples.flags.writeable = False
-            object.__setattr__(self, "samples", samples)
-            expected = (self.spec.n_channels, self.spec.n_samples)
-            if samples.ndim != 3 or len(samples) != len(ids):
-                raise ValueError(f"samples of shape {samples.shape} for {len(ids)} trials")
-            if len(ids) and samples.shape[1:] != expected:  # one shape: the first trial is named
-                raise DimensionMismatch(int(ids[0]), expected, samples.shape[1:])
-            _checked_finite(self)
 
     def __len__(self) -> int:
         return len(self.trial_ids)
 
     def trial(self, i: int) -> np.ndarray:
-        """Trial i, read-only float32: a row of the table, the maker's, or one os.pread
-        from the blob (a memory map's pages would count as resident)."""
+        """Trial i, read-only float32: the maker's, DimensionMismatch unless it has
+        the spec's shape, or one os.pread from the blob (a memory map's pages
+        would count as resident)."""
+        shape = (self.spec.n_channels, self.spec.n_samples)
         if callable(self.samples):
-            return self.samples(i)
-        if not isinstance(self.samples, Path):
-            return self.samples[i]
-        nbytes = 4 * self.spec.n_channels * self.spec.n_samples
+            if (trial := self.samples(i)).shape != shape:
+                raise DimensionMismatch(int(self.trial_ids[i]), shape, trial.shape)
+            return trial
+        nbytes = 4 * shape[0] * shape[1]
         with open(self.samples, "rb") as fh:
             raw = os.pread(fh.fileno(), nbytes, i * nbytes)
         if len(raw) != nbytes:
             raise IoFailure(f"{self.samples}: trial {self.trial_ids[i]} is cut short")
-        return np.frombuffer(raw, dtype="<f4").reshape(self.spec.n_channels, self.spec.n_samples)
-
-
-def _checked_finite(dataset: Dataset) -> Dataset:
-    """`dataset`, read one trial at a time; NonFiniteSample names a non-finite one."""
-    for i, trial_id in enumerate(dataset.trial_ids):
-        if not np.isfinite(dataset.trial(i)).all():
-            raise NonFiniteSample(int(trial_id))
-    return dataset
+        return np.frombuffer(raw, dtype="<f4").reshape(shape)
 
 
 def _usable_cores() -> int:
@@ -286,8 +272,12 @@ def load_dataset(path) -> Dataset:
             i = size // nbytes
             raise DimensionMismatch(int(trial_ids[i]), f"{i * nbytes}..{(i + 1) * nbytes}",
                                     f"a {size}-byte file", what=f"bytes of {blob_file}")
-        return _checked_finite(Dataset(spec, manifest["channel_names"], blob_path,
-                                       trial_ids, class_labels, domain_labels))
+        dataset = Dataset(spec, manifest["channel_names"], blob_path, trial_ids, class_labels,
+                          domain_labels)
+    for i, trial_id in enumerate(trial_ids):
+        if not np.isfinite(dataset.trial(i)).all():
+            raise NonFiniteSample(int(trial_id))
+    return dataset
 
 
 @dataclass(frozen=True)

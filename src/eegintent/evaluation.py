@@ -1,5 +1,5 @@
-"""Prediction and metric computation: accuracy plus macro-F1 overall and
-split by correct / misarticulated trials."""
+"""Metric computation: accuracy plus macro-F1 overall and split by correct /
+misarticulated trials, of model.predict's classes."""
 
 from __future__ import annotations
 
@@ -10,12 +10,7 @@ import numpy as np
 from .codec import Schema
 from .data import N_CLASSES
 from .errors import EmptyTestSet
-from .model import ModelParams, forward
-
-
-def predict(params: ModelParams, features) -> np.ndarray:
-    """Argmax of the class logits per trial; ties go to the lowest class index."""
-    return np.argmax(forward(params, features)[0], axis=1)
+from .model import ModelParams, predict
 
 
 def confusion_matrix(y_true, y_pred) -> np.ndarray:

@@ -82,8 +82,9 @@ class ModelConfig(Schema):
             raise ValueError(f"domain_head_dims must end with {len(DOMAIN_NAMES)} outputs")
         if not 0.0 <= self.gamma_sup <= 1.0:
             raise ValueError("gamma_sup must be in [0, 1]")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda1 and lambda2 must be non-negative")
+        for name in ("lambda1", "lambda2", "learning_rate", "weight_init_scale"):
+            if (value := getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.mmd_bandwidth is not None and self.mmd_bandwidth <= 0:
             raise ValueError("mmd_bandwidth must be positive when fixed")
         if not set(SUPPRESSED_BANDS) <= set(self.bands.names):
@@ -266,6 +267,17 @@ def forward(params: ModelParams, x):
     """
     _, z1 = _first_layer(params, x)
     return _two_view_pass(params, z1, len(x))[0]
+
+
+def predict(params: ModelParams, x) -> np.ndarray:
+    """Argmax of the class logits per trial, from one pass of the mask-scaled
+    rows alone: forward()'s classes, though the product of n rather than 2n
+    rows may round a logit's last bits differently. Ties go to the lowest index."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_features(params, x)
+    rows = x if np.all(params.mask == 1.0) else x * params.mask  # no copy in baseline mode
+    emb, _ = _stack_forward(params.encoder, rows, relu_last=True)
+    return np.argmax(_stack_forward(params.class_head, emb, relu_last=False)[0], axis=1)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

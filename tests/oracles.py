@@ -1,9 +1,17 @@
-"""Reference computations that only the tests use."""
+"""Reference computations, and the array-to-maker helper, that only the tests use."""
 
 import numpy as np
 
 from eegintent.errors import EmptyBand, SignalTooShort
 from eegintent.spectral import fft
+
+
+def maker_of(table):
+    """The [trials x channels x samples] array `table` as a Dataset's maker:
+    trial i is row i, float32 and read-only."""
+    table = np.array(table, dtype=np.float32)
+    table.flags.writeable = False
+    return table.__getitem__
 
 
 def welch_psd(signal, config, sample_rate_hz: float):

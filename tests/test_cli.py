@@ -17,6 +17,7 @@ from eegintent.cli import config_hash, default_run_config, load_run_config, main
 from eegintent.data import AcquisitionSpec, load_dataset, save_dataset
 from eegintent.model import FeatureScaler
 from eegintent.spectral import BandTable, read_features
+from oracles import maker_of
 
 TINY_CONFIG = {
     "synth": {
@@ -283,7 +284,7 @@ class TestExitCodes:
         tiny = load_dataset(tiny_features.parent / "dataset.json")
         spec = AcquisitionSpec(sample_rate_hz=250.0, n_channels=32, trial_seconds=6.0)
         save_dataset(replace(tiny, spec=spec, channel_names=tiny.channel_names[:32],
-                             samples=[tiny.trial(i)[:32] for i in range(len(tiny))]),
+                             samples=maker_of([tiny.trial(i)[:32] for i in range(len(tiny))])),
                      tmp_path / "set.json",
                      config_hash="")
         features = tmp_path / "features.bin"
@@ -312,6 +313,8 @@ class TestExitCodes:
             ("seed", 1.5),
             ("learning_rate", "0.1"),
             ("learning_rate", float("nan")),
+            ("learning_rate", -1),
+            ("weight_init_scale", -1),
             ("lambda1", float("inf")),
             ("gamma_sup", None),
             ("mmd_bandwidth", "1.0"),
@@ -326,7 +329,7 @@ class TestExitCodes:
                    "--out", str(tmp_path / "m.bin"))
         assert code == 1
         err = capsys.readouterr().err
-        assert "train: ValueError" in err and key in err
+        assert "train: ValueError: model." in err and key in err
         assert not (tmp_path / "m.bin").exists()
 
     @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from eegintent.model import (
 )
 from eegintent.montage import default_montage
 from eegintent.spectral import FeatureSet, read_features, write_features
+from oracles import maker_of
 
 # SHA-256 of the files pinned_files writes, recorded from the release that
 # introduced each format; a codec change must not alter a byte of them.
@@ -56,8 +57,8 @@ def pinned_files(out: Path) -> dict:
     names = default_montage().channel_names[:3]
     ids = np.arange(3)
     samples = (np.arange(3 * 32).reshape(3, 32) - 40.0 * ids[:, None, None]) / 8.0
-    save_dataset(Dataset(spec, names, samples, ids, ids % 4, ids % 2), out / "set.json",
-                 config_hash="ab" * 32)
+    save_dataset(Dataset(spec, names, maker_of(samples), ids, ids % 4, ids % 2),
+                 out / "set.json", config_hash="ab" * 32)
     values = np.arange(3 * 3 * 4, dtype=np.float32).reshape(3, 3, 4) / 16.0 - 1.0
     features = FeatureSet(values, np.array(FREQS), names, np.array([0, 1, 2]),
                           np.array([0, 1, 2]), np.array([0, 1, 0]))

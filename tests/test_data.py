@@ -19,6 +19,7 @@ from eegintent.errors import (
     NonFiniteSample,
 )
 from eegintent.montage import default_montage
+from oracles import maker_of
 
 
 def tiny_spec(n_channels=4, n_samples=32):
@@ -36,14 +37,8 @@ def make_dataset(n_trials=8, n_channels=4, n_samples=32, seed=0):
     rng = np.random.default_rng(seed)
     names = default_montage().channel_names[:n_channels]
     ids = np.arange(n_trials)
-    return Dataset(spec, names, rng.normal(size=(n_trials, n_channels, n_samples)),
+    return Dataset(spec, names, maker_of(rng.normal(size=(n_trials, n_channels, n_samples))),
                    ids, ids % 4, ids % 2)
-
-
-def one_trial(ds, samples, trial_id=0, class_label=0, domain_label=0):
-    """A one-trial dataset of `ds`'s spec and channels."""
-    return Dataset(ds.spec, ds.channel_names, samples[None], [trial_id], [class_label],
-                   [domain_label])
 
 
 class TestAcquisitionSpec:
@@ -59,13 +54,15 @@ class TestAcquisitionSpec:
 
 class TestValidation:
     def test_class_label_range(self):
-        with pytest.raises(ValueError):
-            one_trial(make_dataset(1), np.zeros((4, 32)), class_label=4)
+        ds = make_dataset(1)
+        with pytest.raises(ValueError, match="class_label must be in 0..3, got 4"):
+            Dataset(ds.spec, ds.channel_names, ds.samples, [0], [4], [0])
 
-    def test_samples_stored_as_float32(self):
-        ds = one_trial(make_dataset(1), np.zeros((4, 32)))
-        assert ds.samples.dtype == np.float32
-        assert not ds.samples.flags.writeable
+    def test_array_samples_refused(self):
+        # a table in memory is wrapped as a maker; the dataset holds a blob's Path or a maker
+        ds = make_dataset(1)
+        with pytest.raises(TypeError, match="Path of a blob or a maker of trial i, got ndarray"):
+            Dataset(ds.spec, ds.channel_names, np.zeros((1, 4, 32)), [0], [0], [0])
 
     def test_duplicate_trial_ids(self):
         ds = make_dataset(2)
@@ -83,17 +80,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             Dataset(ds.spec, names, ds.samples, [0], [0], [0])
 
-    def test_dimension_mismatch(self):
-        ds = make_dataset(1)
-        with pytest.raises(DimensionMismatch, match="trial 5"):
-            one_trial(ds, np.zeros((3, 32)), trial_id=5)
-
-    def test_non_finite_sample(self):
-        ds = make_dataset(1)
-        samples = np.zeros((4, 32))
-        samples[2, 7] = np.nan
-        with pytest.raises(NonFiniteSample, match="trial 3"):
-            one_trial(ds, samples, trial_id=3)
+    def test_dimension_mismatch(self, tmp_path):
+        # checked as a maker's trial is read: written, a longer trial would run
+        # into the next one's bytes and load back without an error
+        ds = make_dataset(2)
+        for shape in ((3, 32), (4, 31), (4, 33)):
+            wrong = Dataset(ds.spec, ds.channel_names, maker_of(np.zeros((2, *shape))), [4, 5],
+                            [0, 0], [0, 0])
+            with pytest.raises(DimensionMismatch, match=r"trial 5: expected samples of shape"):
+                wrong.trial(1)
+            with pytest.raises(DimensionMismatch):
+                save_dataset(wrong, tmp_path / "set.json", config_hash="")
+            assert list(tmp_path.iterdir()) == []
 
     def test_unknown_channel_name(self):
         ds = make_dataset(1)
@@ -117,7 +115,7 @@ class TestRoundTrip:
         # read one trial at a time from the blob, each float32 and read-only
         trials = [loaded.trial(i) for i in range(len(loaded))]
         assert all(t.dtype == np.float32 and not t.flags.writeable for t in trials)
-        assert np.stack(trials).tobytes() == ds.samples.tobytes()
+        assert np.stack(trials).tobytes() == np.stack([ds.trial(i) for i in range(8)]).tobytes()
 
     def test_second_save_identical_bytes(self, tmp_path):
         ds = make_dataset(5)
@@ -128,8 +126,8 @@ class TestRoundTrip:
         assert a == b
 
     def test_empty_dataset(self, tmp_path):
-        ds = Dataset(tiny_spec(), default_montage().channel_names[:4], np.zeros((0, 4, 32)),
-                     [], [], [])
+        ds = Dataset(tiny_spec(), default_montage().channel_names[:4],
+                     maker_of(np.zeros((0, 4, 32))), [], [], [])
         path = tmp_path / "empty.json"
         save_dataset(ds, path, config_hash="")
         manifest = json.loads(path.read_text())

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegintent.errors import EmptyTestSet
-from eegintent.evaluation import evaluate, macro_f1, predict
-from eegintent.model import Layer, ModelParams
+from eegintent.evaluation import evaluate, macro_f1
+from eegintent.model import Layer, ModelParams, predict
 
 
 def logit_params(bias):

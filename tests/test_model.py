@@ -22,6 +22,7 @@ from eegintent.model import (
     input_mask,
     load_model,
     mmd_rbf,
+    predict,
     save_model,
     train,
 )
@@ -234,6 +235,32 @@ class TestForward:
         ref_domain, _ = ref_stack_forward(params.encoder, x, True)
         np.testing.assert_allclose(emb_class, ref_class, rtol=1e-12, atol=0)
         np.testing.assert_allclose(emb_domain, ref_domain, rtol=1e-12, atol=0)
+
+
+class TestPredict:
+    @pytest.mark.parametrize("mode", list(TrainMode))
+    def test_argmax_of_forward_class_logits(self, mode):
+        x, yc, yd = toy_batch(n=40)
+        params, _ = train(x, yc, yd, toy_config(epochs=20, batch_size=8), mode)
+        # one product of n rows may round differently from forward's 2n in the
+        # last bits, so the classes are compared, not the logits
+        assert predict(params, x).tolist() == np.argmax(forward(params, x)[0], axis=1).tolist()
+
+    def test_encodes_the_class_view_alone(self):
+        # 80 test rows of 64 channels x 50 bins: forward's [x * mask; x] rows are
+        # twice x, predict's mask-scaled rows once x
+        cfg = toy_config(n_channels=64, bin_freqs_hz=tuple(np.arange(1.0, 51.0)))
+        params = init_params(cfg)
+        x = np.random.default_rng(2).normal(size=(80, cfg.input_dim))
+        peaks = []
+        for run in (forward, predict):
+            tracemalloc.start()
+            try:
+                run(params, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert x.nbytes < peaks[1] < 1.2 * x.nbytes < 2 * x.nbytes < peaks[0]
 
 
 def double_sum_mmd(x, y, sigma):

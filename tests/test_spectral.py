@@ -20,7 +20,7 @@ from eegintent.spectral import (
     welch_kernel,
 )
 from eegintent.synth import SynthConfig, generate_dataset
-from oracles import band_power, welch_psd
+from oracles import band_power, maker_of, welch_psd
 
 FS = 500.0
 
@@ -180,7 +180,7 @@ class TestBandTable:
 def dataset_of(trials, spec):
     """A dataset of the [channels x samples] arrays `trials`, ids 0..n-1."""
     ids = np.arange(len(trials))
-    return Dataset(spec, default_montage().channel_names[: spec.n_channels], np.stack(trials),
+    return Dataset(spec, default_montage().channel_names[: spec.n_channels], maker_of(trials),
                    ids, ids % 4, ids % 2)
 
 

@@ -22,7 +22,7 @@ from eegintent.synth import (
     splitmix64,
     trial_seed,
 )
-from oracles import band_power, welch_psd
+from oracles import band_power, maker_of, welch_psd
 
 MONTAGE = default_montage()
 SPEC = AcquisitionSpec()
@@ -78,9 +78,9 @@ def serial_trials(cfg, n_trials):
 
 
 def as_table(dataset):
-    """The same trials and labels, held in memory as one table."""
+    """The same trials and labels, each made once and held in memory as one table."""
     table = np.stack([dataset.trial(i) for i in range(len(dataset))])
-    return Dataset(dataset.spec, dataset.channel_names, table, dataset.trial_ids,
+    return Dataset(dataset.spec, dataset.channel_names, maker_of(table), dataset.trial_ids,
                    dataset.class_labels, dataset.domain_labels)
 
 
@@ -349,7 +349,8 @@ class TestStreamedFeatures:
                 assert features.dtype == streamed.dtype == np.float32
             finally:
                 sys.setswitchinterval(interval)
-            runs.append((table.samples.tobytes(), features.tobytes(), streamed.tobytes()))
+            trials = b"".join(table.trial(i).tobytes() for i in range(len(table)))
+            runs.append((trials, features.tobytes(), streamed.tobytes()))
         assert runs[0] == runs[1]
         assert runs[0][1] == runs[0][2]
 
