@@ -24,7 +24,7 @@ from .data import (
     save_dataset,
     stratified_split_indices,
 )
-from .errors import OutOfMemory, PipelineError, ShapeMismatch
+from .errors import OutOfMemory, PipelineError, ShapeMismatch, SplitMismatch
 from .evaluation import evaluate
 from .model import (
     SUPPRESSED_BANDS,
@@ -243,8 +243,7 @@ def _cmd_train(cfg: RunConfig, args) -> int:
     out = Path(args.out or Path(cfg.out_dir) / f"model_{mode.value}.bin")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(params, model_cfg, out, mode=mode, config_hash=chash, scaler=scaler)
-    history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
-    write_text(history_path, _history_csv(history, chash))
+    write_text(out.with_suffix(".history.csv"), _history_csv(history, chash))
     last = history[-1]
     print(
         f"wrote {out} (mode={mode.value}, {len(history)} epochs, "
@@ -260,7 +259,13 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
     if layouts[0] != layouts[1]:  # a flat width can match on another layout
         raise ShapeMismatch("features of {} for a model of {}".format(*(
             f"{n} channels x {len(f)} bins {f[:1] + f[-1:]} Hz" for n, f in layouts)))
-    _, test_set = _split(cfg, features)
+    train_set, test_set = _split(cfg, features)
+    refit = FeatureScaler.fit(train_set.flat())  # the model file's scaler, if trained on this split
+    if not np.allclose(np.r_[refit.mean, refit.std], np.r_[scaler.mean, scaler.std],
+                       rtol=1e-9, atol=0):
+        raise SplitMismatch(f"{args.model} was not trained on the train split of {args.features} "
+                            f"at split.test_fraction {cfg.split.test_fraction}, "
+                            f"split.seed {cfg.split.seed}")
     report = _evaluate_on(params, scaler, test_set)
     payload = {"config_hash": config_hash(cfg), "mode": mode.value, **report.to_dict()}
     out = Path(args.out or Path(cfg.out_dir) / f"eval_{mode.value}.json")
@@ -392,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=TrainMode.MULTITASK.value,
     )
     p.add_argument("--seed", type=int, help="override the training seed")
-    p.add_argument("--history", help="training-history CSV path")
 
     p = add("eval", "evaluate a trained model on the config's test split", _cmd_eval)
     p.add_argument("--features", required=True, help="feature file")

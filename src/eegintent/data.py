@@ -104,6 +104,15 @@ def check_channel_names(names, n_channels: int) -> tuple[str, ...]:
     return names
 
 
+def check_trial(spec: AcquisitionSpec, trial_id, trial: np.ndarray) -> np.ndarray:
+    """`trial` if of the spec's shape and finite, else DimensionMismatch or NonFiniteSample."""
+    if trial.shape != (shape := (spec.n_channels, spec.n_samples)):
+        raise DimensionMismatch(int(trial_id), shape, trial.shape)
+    if not np.isfinite(trial).all():
+        raise NonFiniteSample(int(trial_id))
+    return trial
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An acquisition spec, the channel ordering, and the trials (see the
@@ -132,20 +141,18 @@ class Dataset:
         return len(self.trial_ids)
 
     def trial(self, i: int) -> np.ndarray:
-        """Trial i, read-only float32: the maker's, DimensionMismatch unless it has
-        the spec's shape, or one os.pread from the blob (a memory map's pages
-        would count as resident)."""
-        shape = (self.spec.n_channels, self.spec.n_samples)
+        """Trial i, read-only float32, through check_trial: the maker's, or one
+        os.pread from the blob (a memory map's pages would count as resident)."""
         if callable(self.samples):
-            if (trial := self.samples(i)).shape != shape:
-                raise DimensionMismatch(int(self.trial_ids[i]), shape, trial.shape)
-            return trial
-        nbytes = 4 * shape[0] * shape[1]
-        with open(self.samples, "rb") as fh:
-            raw = os.pread(fh.fileno(), nbytes, i * nbytes)
-        if len(raw) != nbytes:
-            raise IoFailure(f"{self.samples}: trial {self.trial_ids[i]} is cut short")
-        return np.frombuffer(raw, dtype="<f4").reshape(shape)
+            trial = self.samples(i)
+        else:
+            nbytes = 4 * self.spec.n_channels * self.spec.n_samples
+            with open(self.samples, "rb") as fh:
+                raw = os.pread(fh.fileno(), nbytes, i * nbytes)
+            if len(raw) != nbytes:
+                raise IoFailure(f"{self.samples}: trial {self.trial_ids[i]} is cut short")
+            trial = np.frombuffer(raw, dtype="<f4").reshape(self.spec.n_channels, -1)
+        return check_trial(self.spec, self.trial_ids[i], trial)
 
 
 def _usable_cores() -> int:
@@ -198,22 +205,23 @@ def parse_trial_entries(rows):
                         [DOMAIN_NAMES.index(name) for name in domains])
 
 
-def write_trials(path, spec: AcquisitionSpec, n_trials: int, trial) -> Path:
-    """The blob beside the manifest `path`, written by codec.atomic_file: trial(i)
-    is one os.pwrite at its own offset from a map_trials worker, so the order
-    trials finish in cannot change a byte. IoFailure, before any trial, when
-    the file system has less room than the blob; a trial's error is raised."""
+def write_trials(path, spec: AcquisitionSpec, trial_ids, trial) -> Path:
+    """The blob beside the manifest `path`, written by codec.atomic_file: trial(i),
+    float32 through check_trial, is one os.pwrite at its own offset from a
+    map_trials worker, so the order trials finish in cannot change a byte.
+    IoFailure before any trial if the blob outgrows the disk; a trial's error is raised."""
     blob, nbytes = Path(path).with_suffix(".bin"), 4 * spec.n_channels * spec.n_samples
     with atomic_file(blob) as fh:
         fs = os.fstatvfs(fh.fileno())
-        if (need := n_trials * nbytes) > (free := fs.f_bavail * fs.f_frsize):
+        if (need := len(trial_ids) * nbytes) > (free := fs.f_bavail * fs.f_frsize):
             raise IoFailure(f"cannot write {blob}: {need} bytes needed, {free} bytes free")
 
         def put(i: int) -> None:
-            if os.pwrite(fh.fileno(), np.ascontiguousarray(trial(i), "<f4"), i * nbytes) < nbytes:
-                raise IoFailure(f"cannot write {blob}: trial {i} was written short")
+            samples = check_trial(spec, trial_ids[i], np.ascontiguousarray(trial(i), "<f4"))
+            if os.pwrite(fh.fileno(), samples, i * nbytes) < nbytes:
+                raise IoFailure(f"cannot write {blob}: trial {trial_ids[i]} was written short")
 
-        map_trials(put, n_trials)
+        map_trials(put, len(trial_ids))
     return blob
 
 
@@ -226,7 +234,7 @@ def save_dataset(dataset: Dataset, path, *, config_hash: str) -> None:
     manifest_path = Path(path)
     blob = dataset.samples
     if not (isinstance(blob, Path) and blob == manifest_path.with_suffix(".bin")):
-        blob = write_trials(manifest_path, dataset.spec, len(dataset), dataset.trial)
+        blob = write_trials(manifest_path, dataset.spec, dataset.trial_ids, dataset.trial)
     nbytes = 4 * dataset.spec.n_channels * dataset.spec.n_samples
     entries = trial_entries(dataset.trial_ids, dataset.class_labels, dataset.domain_labels)
     manifest = {
@@ -244,12 +252,12 @@ def save_dataset(dataset: Dataset, path, *, config_hash: str) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a manifest written by save_dataset and scan every trial of its blob.
+    """Read a manifest written by save_dataset, and each trial of its blob once.
 
-    The entries must give save_dataset's layout: one blob file, trial i at
-    byte i * channels * samples * 4 within the blob's size, whose trials the
-    dataset reads. Raises MissingFile, MalformedManifest, DimensionMismatch
-    or NonFiniteSample; the latter two name the offending trial_id.
+    The entries must give save_dataset's layout: one blob file of exactly its
+    trials, trial i at byte i * channels * samples * 4. Raises MissingFile,
+    MalformedManifest (also for trailing bytes), DimensionMismatch or
+    NonFiniteSample; the latter two name the offending trial_id.
     """
     manifest_path = Path(path)
     manifest, _ = read_header(manifest_path, MANIFEST_FORMAT, "manifest", blob=False)
@@ -272,11 +280,12 @@ def load_dataset(path) -> Dataset:
             i = size // nbytes
             raise DimensionMismatch(int(trial_ids[i]), f"{i * nbytes}..{(i + 1) * nbytes}",
                                     f"a {size}-byte file", what=f"bytes of {blob_file}")
+        if size > len(rows) * nbytes:
+            raise ValueError(f"{size - len(rows) * nbytes} trailing bytes in {blob_file}")
         dataset = Dataset(spec, manifest["channel_names"], blob_path, trial_ids, class_labels,
                           domain_labels)
-    for i, trial_id in enumerate(trial_ids):
-        if not np.isfinite(dataset.trial(i)).all():
-            raise NonFiniteSample(int(trial_id))
+    for i in range(len(dataset)):
+        dataset.trial(i)  # check_trial's scan
     return dataset
 
 

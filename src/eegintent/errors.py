@@ -97,3 +97,7 @@ class NonFiniteLoss(PipelineError):
 
 class EmptyTestSet(PipelineError):
     pass
+
+
+class SplitMismatch(PipelineError):
+    """The model's feature scaler was not fitted on this config's train split."""

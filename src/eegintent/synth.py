@@ -30,7 +30,6 @@ import numpy as np
 
 from .codec import Schema
 from .data import N_CLASSES, AcquisitionSpec, Dataset, blocked_matmul, write_trials
-from .errors import NonFiniteSample
 from .montage import Montage, Region, default_montage
 from .spectral import WelchConfig
 
@@ -220,10 +219,9 @@ def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
 def generate_dataset(config: SynthConfig, *, path=None) -> Dataset:
     """N_CLASSES * n_trials_per_class trials of the default acquisition spec and
     montage, classes round-robin, domains Bernoulli from each trial's first
-    draw: a Dataset whose trial(i) makes trial i as read-only float32, raising
-    a trial's error as is (NonFiniteSample if it is not finite in float32), or,
-    given a manifest `path`, the Dataset of the blob data.write_trials writes
-    beside it, whose disk check comes before anything else.
+    draw: a Dataset whose trial(i) makes trial i as read-only float32 (a
+    trial's error raised as is), or, given a manifest `path`, the Dataset of
+    the blob data.write_trials writes beside it, disk check first.
 
     A pure function of the config: per-trial generators are derived from
     config.seed, so trial order and prior draws cannot leak between trials.
@@ -238,12 +236,10 @@ def generate_dataset(config: SynthConfig, *, path=None) -> Dataset:
     def make(tid: int) -> np.ndarray:
         rng, mis = first_draw(tid)
         trial = generate_trial(tid % N_CLASSES, mis, config, montage, rng, spec).astype(np.float32)
-        if not np.isfinite(trial).all():
-            raise NonFiniteSample(tid)
         trial.flags.writeable = False
         return trial
 
-    samples = make if path is None else write_trials(path, spec, n_trials, make)
+    samples = make if path is None else write_trials(path, spec, range(n_trials), make)
     trial_ids = np.arange(n_trials)
     return Dataset(spec, montage.channel_names[: spec.n_channels], samples, trial_ids,
                    trial_ids % N_CLASSES, [first_draw(tid)[1] for tid in range(n_trials)])

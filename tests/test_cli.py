@@ -301,6 +301,26 @@ class TestExitCodes:
         assert "for a model of 64 channels x 50 bins" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("split", [{"seed": 78}, {"test_fraction": 0.2}])
+    def test_eval_refuses_model_of_other_split(self, tmp_path, tiny_features, capsys, split):
+        # the model's scaler is refitted on eval's train split: another split
+        # would score trials the model trained on
+        trained, other = tmp_path / "trained.json", tmp_path / "other.json"
+        trained.write_text(json.dumps(TINY_CONFIG))
+        other.write_text(json.dumps({**TINY_CONFIG, "split": {**TINY_CONFIG["split"], **split}}))
+        model, out = tmp_path / "model.bin", tmp_path / "eval.json"
+        assert run("train", "--config", str(trained), "--features", str(tiny_features),
+                   "--mode", "baseline", "--out", str(model)) == 0
+        assert run("eval", "--config", str(other), "--features", str(tiny_features),
+                   "--model", str(model), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"eval: SplitMismatch: {model} was not trained on the train split" in err
+        key, value = next(iter(split.items()))
+        assert f"split.{key} {value}" in err and "Traceback" not in err
+        assert not out.exists()
+        assert run("eval", "--config", str(trained), "--features", str(tiny_features),
+                   "--model", str(model), "--out", str(out)) == 0
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -19,6 +19,7 @@ from eegintent.errors import (
     NonFiniteSample,
 )
 from eegintent.montage import default_montage
+from eegintent.spectral import WelchConfig, extract_feature_set
 from oracles import maker_of
 
 
@@ -92,6 +93,33 @@ class TestValidation:
             with pytest.raises(DimensionMismatch):
                 save_dataset(wrong, tmp_path / "set.json", config_hash="")
             assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_maker_trial_named_on_every_route(self, tmp_path):
+        # a table in memory wrapped as in README's Library section, NaN in trial 2
+        spec = AcquisitionSpec()
+        table = np.zeros((4, spec.n_channels, spec.n_samples))
+        table[2, 5, 700] = np.nan
+        ids = np.arange(4)
+        ds = Dataset(spec, default_montage().channel_names[: spec.n_channels], maker_of(table),
+                     ids, ids % 4, ids % 2)
+        with pytest.raises(NonFiniteSample, match="^trial 2: samples contain non-finite"):
+            extract_feature_set(ds, WelchConfig())
+        with pytest.raises(NonFiniteSample, match="^trial 2: samples contain non-finite"):
+            save_dataset(ds, tmp_path / "set.json", config_hash="")
+        assert list(tmp_path.iterdir()) == []  # no manifest, blob or temporary file
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_float32_overflow_named_when_written(self, tmp_path):
+        # a finite float64 trial the blob cannot hold: refused as written, not read back
+        ds = make_dataset(3)
+        table = np.zeros((3, 4, 32))
+        table[1, 0, 0] = 1e39
+        wide = Dataset(ds.spec, ds.channel_names, table.__getitem__, [7, 8, 9], [0, 0, 0],
+                       [0, 0, 0])
+        assert wide.trial(1)[0, 0] == 1e39
+        with pytest.raises(NonFiniteSample, match="^trial 8: "):
+            save_dataset(wide, tmp_path / "set.json", config_hash="")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_channel_name(self):
         ds = make_dataset(1)
@@ -196,6 +224,15 @@ class TestLoadErrors:
         blob_path = tmp_path / "set.bin"
         blob_path.write_bytes(blob_path.read_bytes()[: 4 * 4 * 32 + 10])
         with pytest.raises(DimensionMismatch, match="trial 1"):
+            load_dataset(path)
+
+    def test_trailing_blob_bytes_refused(self, tmp_path):
+        ds = make_dataset(4)
+        path = tmp_path / "set.json"
+        save_dataset(ds, path, config_hash="")
+        with open(tmp_path / "set.bin", "ab") as fh:
+            fh.write(bytes(4096))
+        with pytest.raises(MalformedManifest, match="4096 trailing bytes in set.bin"):
             load_dataset(path)
 
     def test_non_finite_blob_names_trial(self, tmp_path):

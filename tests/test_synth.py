@@ -264,6 +264,25 @@ class TestGenerateDataset:
         load_dataset(tmp_path / "dataset.json")
         assert len(calls) == 12
 
+    def test_each_trial_checked_once(self, monkeypatch, tmp_path):
+        # data.check_trial is the one trial check: synth and the feature route
+        # each pass every trial through it exactly once
+        checked = []
+        check = data.check_trial
+
+        def spy(spec, trial_id, trial):
+            checked.append(int(trial_id))
+            return check(spec, trial_id, trial)
+
+        monkeypatch.setattr(data, "check_trial", spy)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text('{"synth": {"n_trials_per_class": 3}}')
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert sorted(checked) == list(range(12))
+        checked.clear()
+        extract_feature_set(generate_dataset(SynthConfig(n_trials_per_class=3)), WelchConfig())
+        assert sorted(checked) == list(range(12))
+
     def test_core_count_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
