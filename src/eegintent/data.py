@@ -166,11 +166,18 @@ def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b in column blocks of b of at most _BLAS_BLOCK multiply-adds each.
     OpenBLAS runs a product that small on the calling thread, so the trials on
     map_trials's pool never queue on its thread server, and each product's
-    float64 values are the same at any BLAS thread count."""
-    out = np.empty((a.shape[0], b.shape[1]))
-    step = max(1, _BLAS_BLOCK // (a.shape[0] * a.shape[1]))
-    for j in range(0, b.shape[1], step):
-        np.matmul(a, b[:, j : j + step], out=out[:, j : j + step])
+    float64 values are the same at any BLAS thread count. The whole blocks go
+    out as one stacked np.matmul into a view of the output and a short last
+    block as one more, so a product releases the GIL once or twice, not once
+    per block, and each block is the same BLAS call as on its own."""
+    (m, k), n = a.shape, b.shape[1]
+    out = np.empty((m, n))
+    step = min(n, max(1, _BLAS_BLOCK // (m * k)))
+    full = n - n % step
+    np.matmul(a, b[:, :full].reshape(k, -1, step).swapaxes(0, 1),
+              out=out[:, :full].reshape(m, -1, step).swapaxes(0, 1))
+    if full < n:
+        np.matmul(a, b[:, full:], out=out[:, full:])
     return out
 
 
@@ -234,7 +241,8 @@ def save_dataset(dataset: Dataset, path, *, config_hash: str) -> None:
     manifest_path = Path(path)
     blob = dataset.samples
     if not (isinstance(blob, Path) and blob == manifest_path.with_suffix(".bin")):
-        blob = write_trials(manifest_path, dataset.spec, dataset.trial_ids, dataset.trial)
+        trial = blob if callable(blob) else dataset.trial  # write_trials checks each trial
+        blob = write_trials(manifest_path, dataset.spec, dataset.trial_ids, trial)
     nbytes = 4 * dataset.spec.n_channels * dataset.spec.n_samples
     entries = trial_entries(dataset.trial_ids, dataset.class_labels, dataset.domain_labels)
     manifest = {

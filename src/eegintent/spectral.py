@@ -39,7 +39,8 @@ def fft(x) -> np.ndarray:
 
     Forward convention exp(-2*pi*i*k*n/N), no normalization. The length must
     be a power of two (NonPowerOfTwoLength otherwise). The pipeline runs it
-    once per process, to build the cached kept-bin basis of the Welch kernel.
+    only to build the cached kept-bin basis of the Welch kernel, on 64 rows at
+    a time.
     """
     x = np.asarray(x)
     n = x.shape[-1]
@@ -101,7 +102,9 @@ def _kept_bin_basis(seg: int, bins: tuple[int, ...]) -> np.ndarray:
     """(seg, 2K) [real | imag] of fft of the Hann-windowed identity at K bins,
     the window times [cos | -sin]: a segment times it is the real and
     imaginary part of the Hann-windowed DFT of that segment at those bins."""
-    columns = fft(np.diag(_hann(seg)))[:, list(bins)]
+    window, rows = _hann(seg), min(seg, 64)  # rows at a time: no seg x seg complex temporaries
+    columns = np.vstack([fft(np.eye(rows, seg, i) * window[i : i + rows, None])[:, list(bins)]
+                         for i in range(0, seg, rows)])
     basis = np.hstack([columns.real, columns.imag])
     basis.flags.writeable = False
     return basis
@@ -228,8 +231,8 @@ def welch_kernel(spec: AcquisitionSpec, config: WelchConfig):
     density = np.where((keep > 0) & (keep < seg // 2), 2.0 * scale, scale)
 
     def log_psd(trial: np.ndarray) -> np.ndarray:
-        windows = sliding_window_view(trial.astype(np.float64), seg, axis=-1)[:, ::step]
-        segments = windows - windows.mean(axis=-1, keepdims=True)  # a copy, mean-removed
+        segments = sliding_window_view(trial, seg, axis=-1)[:, ::step].astype(np.float64)
+        segments -= segments.mean(axis=-1, keepdims=True)
         parts = blocked_matmul(segments.reshape(-1, seg), basis) ** 2
         power = parts[:, : len(keep)] + parts[:, len(keep) :]
         power = power.reshape(len(trial), n_segments, -1).sum(axis=1)

@@ -14,11 +14,15 @@ from spectral.extract_feature_set alone.
 Determinism contract: every trial draws from its own generator seeded with
 seed XOR splitmix64(trial_id), and the domain label only multiplies
 amplitudes after all random draws, so trials can be generated in any order
-and label flips keep shared components identical. Hence the worker count (the
-process's CPU affinity, never a config key) cannot change a byte of the
-samples or of the features. A trial's BLAS products, and the feature
-kernel's, run through data.blocked_matmul, so their float64 values do not
-depend on BLAS's thread count either.
+and label flips keep shared components identical. A trial's components draw
+their amplitude factors and phases as one rng.random call, mapped as
+Generator.uniform maps each draw (low + (high - low) * u), so the draw order,
+each component's factor and then its channels' phases, is unchanged. Hence
+the worker count (the process's CPU affinity, never a config key) cannot
+change a byte of the samples or of the features. A trial's BLAS products,
+and the feature kernel's, run through data.blocked_matmul, so their float64
+values do not depend on BLAS's thread count either, and each releases the
+GIL at most twice.
 """
 
 from __future__ import annotations
@@ -142,18 +146,14 @@ def pink_noise(n_rows: int, n_samples: int, rng: np.random.Generator) -> np.ndar
     spectrum = np.zeros((n_rows, half + 1), dtype=np.complex128)
     parts = spectrum.view(np.float64).reshape(n_rows, -1)  # interleaved re/im
     interior = weights[: half - 1] / np.sqrt(2.0)
-    parts[:, 2 : 2 * half : 2] = gauss[:, : half - 1] * interior
-    parts[:, 3 : 2 * half + 1 : 2] = gauss[:, half - 1 : 2 * half - 2] * interior
+    np.multiply(gauss[:, : half - 1], interior, out=parts[:, 2 : 2 * half : 2])
+    np.multiply(gauss[:, half - 1 : 2 * half - 2], interior, out=parts[:, 3 : 2 * half + 1 : 2])
     parts[:, 2 * half] = gauss[:, 2 * half - 2] * weights[half - 1]  # real Nyquist
-    x = np.fft.irfft(spectrum, n=nfft, axis=-1) * nfft
-    return x[:, :n_samples] - x[:, :n_samples].mean(axis=-1, keepdims=True)
-
-
-@lru_cache(maxsize=16)
-def _region_mask(montage: Montage, channel_names: tuple[str, ...], region: Region) -> np.ndarray:
-    mask = np.array([montage.entry(name).region == region for name in channel_names])
-    mask.flags.writeable = False
-    return mask
+    x = np.fft.irfft(spectrum, n=nfft, axis=-1)
+    x *= nfft
+    x = x[:, :n_samples]
+    x -= x.mean(axis=-1, keepdims=True)
+    return x
 
 
 @lru_cache(maxsize=64)
@@ -166,6 +166,26 @@ def _sin_cos_basis(freqs: tuple[float, ...], n_samples: int, sample_rate_hz: flo
     return basis
 
 
+@lru_cache(maxsize=64)
+def _components(config: SynthConfig, class_label: int, mis: bool, montage: Montage, n_ch: int):
+    """(freqs, base amplitudes, [channels x components] gains) of a trial's
+    sinusoids: the class signature, then the delta, alpha and gamma groups."""
+    regions = np.array([montage.entry(name).region for name in montage.channel_names[:n_ch]])
+    frontal, temporal = regions == Region.FRONTAL_CENTRAL, regions == Region.TEMPORAL
+    groups = [
+        (config.class_signature_freqs_hz[class_label], config.class_signature_amp, np.ones(n_ch)),
+        (config.delta_freqs_hz, config.delta_amp, np.where(frontal, config.delta_gain_mis, 1.0)),
+        (config.alpha_freqs_hz, config.alpha_amp, np.where(frontal, config.alpha_gain_mis, 1.0)),
+        (config.gamma_freqs_hz, config.gamma_amp, np.where(temporal, config.gamma_gain_mis, 1.0)),
+    ]
+    freqs, base_amp, gain = zip(*[(float(f), amp, group_gain if mis else np.ones(n_ch))
+                                  for group_freqs, amp, group_gain in groups for f in group_freqs])
+    base_amp, gain = np.array(base_amp, float), np.stack(gain, axis=1)
+    for array in (base_amp, gain):
+        array.flags.writeable = False
+    return freqs, base_amp, gain
+
+
 def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
                    montage: Montage, rng: np.random.Generator,
                    spec: AcquisitionSpec) -> np.ndarray:
@@ -176,40 +196,17 @@ def generate_trial(class_label: int, misarticulated: bool, config: SynthConfig,
     already-drawn components, so regenerating with the other label keeps the
     shared noise and phases bit-identical.
     """
-    names = montage.channel_names[: spec.n_channels]
-    n_ch = spec.n_channels
-    n = spec.n_samples
-
-    samples = pink_noise(n_ch, n, rng) * config.pink_noise_scale
-
-    mis = bool(misarticulated)
-    frontal = _region_mask(montage, names, Region.FRONTAL_CENTRAL)
-    temporal = _region_mask(montage, names, Region.TEMPORAL)
-    # (freqs, base amplitude, per-channel gain vector) for every component group
-    groups = [
-        (config.class_signature_freqs_hz[class_label], config.class_signature_amp,
-         np.ones(n_ch)),
-        (config.delta_freqs_hz, config.delta_amp,
-         np.where(frontal, config.delta_gain_mis if mis else 1.0, 1.0)),
-        (config.alpha_freqs_hz, config.alpha_amp,
-         np.where(frontal, config.alpha_gain_mis if mis else 1.0, 1.0)),
-        (config.gamma_freqs_hz, config.gamma_amp,
-         np.where(temporal, config.gamma_gain_mis if mis else 1.0, 1.0)),
-    ]
-    freqs: list[float] = []
-    amps = []
-    phases = []
-    for group_freqs, base_amp, gain in groups:
-        for f in group_freqs:
-            # one amplitude factor per component per trial, shared across
-            # channels; phases independent per channel
-            factor = rng.uniform(1.0 - config.amp_jitter, 1.0 + config.amp_jitter)
-            phases.append(rng.uniform(0.0, 2.0 * np.pi, size=n_ch))
-            freqs.append(float(f))
-            amps.append(base_amp * factor * gain)
-    amp = np.stack(amps, axis=1)      # (channels, components)
-    phase = np.stack(phases, axis=1)
-    sin_t, cos_t = _sin_cos_basis(tuple(freqs), n, spec.sample_rate_hz)
+    samples = pink_noise(spec.n_channels, spec.n_samples, rng)
+    samples *= config.pink_noise_scale
+    freqs, base_amp, gain = _components(config, class_label, misarticulated, montage,
+                                        spec.n_channels)
+    # per component, as uniform maps each draw: one amplitude factor shared
+    # across channels, then each channel's phase
+    draws = rng.random((len(freqs), spec.n_channels + 1))
+    low, high = 1.0 - config.amp_jitter, 1.0 + config.amp_jitter
+    amp = gain * (base_amp * (low + (high - low) * draws[:, 0]))
+    phase = np.ascontiguousarray(draws[:, 1:].T) * (2.0 * np.pi)
+    sin_t, cos_t = _sin_cos_basis(freqs, spec.n_samples, spec.sample_rate_hz)
     # sin(2 pi f t + phi) = cos(phi) sin(2 pi f t) + sin(phi) cos(2 pi f t)
     samples += (blocked_matmul(amp * np.cos(phase), sin_t)
                 + blocked_matmul(amp * np.sin(phase), cos_t))

@@ -3,7 +3,9 @@
 import numpy as np
 
 from eegintent.errors import EmptyBand, SignalTooShort
+from eegintent.montage import Region
 from eegintent.spectral import fft
+from eegintent.synth import _pink_weights, _sin_cos_basis
 
 
 def maker_of(table):
@@ -12,6 +14,61 @@ def maker_of(table):
     table = np.array(table, dtype=np.float32)
     table.flags.writeable = False
     return table.__getitem__
+
+
+def matmul_by_blocks(a, b):
+    """a @ b as data.blocked_matmul computes it, in its loop form: one
+    np.matmul per column block of b of at most 2^18 multiply-adds."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    step = max(1, (1 << 18) // (a.shape[0] * a.shape[1]))
+    for j in range(0, b.shape[1], step):
+        np.matmul(a, b[:, j : j + step], out=out[:, j : j + step])
+    return out
+
+
+def trial_by_loops(class_label, misarticulated, config, montage, rng, spec):
+    """synth.generate_trial in its loop form: each component's amplitude
+    factor and its channels' phases drawn by rng.uniform, one component after
+    another, and the sinusoid products through matmul_by_blocks."""
+    n_ch, n = spec.n_channels, spec.n_samples
+    nfft = n + (n % 2)
+    half = nfft // 2
+    weights = _pink_weights(half)
+    gauss = rng.standard_normal((n_ch, 2 * half - 1))
+    spectrum = np.zeros((n_ch, half + 1), dtype=np.complex128)
+    parts = spectrum.view(np.float64).reshape(n_ch, -1)
+    interior = weights[: half - 1] / np.sqrt(2.0)
+    parts[:, 2 : 2 * half : 2] = gauss[:, : half - 1] * interior
+    parts[:, 3 : 2 * half + 1 : 2] = gauss[:, half - 1 : 2 * half - 2] * interior
+    parts[:, 2 * half] = gauss[:, 2 * half - 2] * weights[half - 1]
+    x = np.fft.irfft(spectrum, n=nfft, axis=-1) * nfft
+    samples = (x[:, :n] - x[:, :n].mean(axis=-1, keepdims=True)) * config.pink_noise_scale
+
+    names = montage.channel_names[:n_ch]
+    frontal = np.array([montage.entry(name).region == Region.FRONTAL_CENTRAL for name in names])
+    temporal = np.array([montage.entry(name).region == Region.TEMPORAL for name in names])
+    mis = bool(misarticulated)
+    groups = [
+        (config.class_signature_freqs_hz[class_label], config.class_signature_amp, np.ones(n_ch)),
+        (config.delta_freqs_hz, config.delta_amp,
+         np.where(frontal, config.delta_gain_mis if mis else 1.0, 1.0)),
+        (config.alpha_freqs_hz, config.alpha_amp,
+         np.where(frontal, config.alpha_gain_mis if mis else 1.0, 1.0)),
+        (config.gamma_freqs_hz, config.gamma_amp,
+         np.where(temporal, config.gamma_gain_mis if mis else 1.0, 1.0)),
+    ]
+    freqs, amps, phases = [], [], []
+    for group_freqs, base_amp, gain in groups:
+        for f in group_freqs:
+            factor = rng.uniform(1.0 - config.amp_jitter, 1.0 + config.amp_jitter)
+            phases.append(rng.uniform(0.0, 2.0 * np.pi, size=n_ch))
+            freqs.append(float(f))
+            amps.append(base_amp * factor * gain)
+    amp, phase = np.stack(amps, axis=1), np.stack(phases, axis=1)
+    sin_t, cos_t = _sin_cos_basis(tuple(freqs), n, spec.sample_rate_hz)
+    samples += (matmul_by_blocks(amp * np.cos(phase), sin_t)
+                + matmul_by_blocks(amp * np.sin(phase), cos_t))
+    return samples
 
 
 def welch_psd(signal, config, sample_rate_hz: float):

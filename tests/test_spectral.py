@@ -13,6 +13,7 @@ from eegintent.spectral import (
     Band,
     BandTable,
     WelchConfig,
+    _kept_bin_basis,
     band_powers_from_features,
     extract_feature_set,
     fft,
@@ -120,6 +121,15 @@ class TestWelch:
         psd, freqs = welch_psd(x, WelchConfig(), FS)
         spectral = psd.sum() * (freqs[1] - freqs[0])
         assert spectral == pytest.approx(np.mean(x**2), rel=0.10)
+
+    @pytest.mark.parametrize("seg", [2, 32, 512])
+    def test_kept_bin_basis_is_the_windowed_identity_transform(self, seg):
+        # built from row blocks of the windowed identity; fft transforms row by row
+        bins = tuple(range(1, seg // 2 + 1))
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg) / seg)
+        columns = fft(np.diag(window))[:, list(bins)]
+        basis = _kept_bin_basis(seg, bins)
+        assert basis.tobytes() == np.hstack([columns.real, columns.imag]).tobytes()
 
     def test_segment_count_default_trial(self):
         cfg = WelchConfig()

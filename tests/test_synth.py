@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from eegintent import data, synth
+from eegintent import data, spectral, synth
 from eegintent.cli import RunConfig, main
 from eegintent.data import AcquisitionSpec, Dataset, load_dataset, save_dataset
 from eegintent.errors import NonFiniteSample, UnknownChannel
 from eegintent.montage import Region, default_montage
-from eegintent.spectral import WelchConfig, extract_feature_set
+from eegintent.spectral import WelchConfig, extract_feature_set, welch_kernel
 from eegintent.synth import (
     SynthConfig,
     generate_dataset,
@@ -22,7 +22,7 @@ from eegintent.synth import (
     splitmix64,
     trial_seed,
 )
-from oracles import band_power, maker_of, welch_psd
+from oracles import band_power, maker_of, matmul_by_blocks, trial_by_loops, welch_psd
 
 MONTAGE = default_montage()
 SPEC = AcquisitionSpec()
@@ -282,6 +282,10 @@ class TestGenerateDataset:
         checked.clear()
         extract_feature_set(generate_dataset(SynthConfig(n_trials_per_class=3)), WelchConfig())
         assert sorted(checked) == list(range(12))
+        checked.clear()
+        save_dataset(generate_dataset(SynthConfig(n_trials_per_class=3)), tmp_path / "d.json",
+                     config_hash="ab" * 32)
+        assert sorted(checked) == list(range(12))
 
     def test_core_count_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -397,31 +401,93 @@ class TestStreamedFeatures:
         assert features.values.nbytes < peak < table_bytes / 4
 
 
+def recording_matmul(monkeypatch):
+    """Patch np.matmul to record each call; returns the list of calls, each
+    the list of the multiply-add counts of the products stacked in it."""
+    calls = []
+    matmul = np.matmul
+
+    def record(x, y, **kwargs):
+        blocks = int(np.prod(np.broadcast_shapes(x.shape[:-2], y.shape[:-2])))
+        calls.append([x.shape[-2] * x.shape[-1] * y.shape[-1]] * blocks)
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", record)
+    return calls
+
+
+# the configs whose trials and Welch products must keep the loop forms' bytes
+FORM_CONFIGS = {
+    "default": SynthConfig(),
+    "null gains": SynthConfig(delta_gain_mis=1.0, alpha_gain_mis=1.0, gamma_gain_mis=1.0),
+    "no jitter": SynthConfig(amp_jitter=0.0),
+    "jitter 0.95": SynthConfig(amp_jitter=0.95),
+    "uneven groups": SynthConfig(
+        class_signature_freqs_hz=((5.0,), (6.0, 7.0, 20.0), (9.0, 30.0), (40.0,)),
+        delta_freqs_hz=(2.0,), alpha_freqs_hz=(), gamma_freqs_hz=(33.0, 35.0, 37.0, 39.0, 41.0)),
+}
+
+
 class TestBlockedMatmul:
-    # (64, 15, 1500) is the synth shape: 5 blocks of 273 columns and one of 135
-    @pytest.mark.parametrize("m, k, n", [(64, 15, 1500), (7, 5, 10_000), (3, 2, 5)])
+    # (64, 11, 1500) is the default synth shape: 4 blocks of 372 columns in
+    # one call and the last 12 columns in another; (64, 15, 1500), 15
+    # components: 5 blocks of 273 columns and one of 135; (256, 512, 100) is
+    # the default Welch product, 50 blocks of 2 columns in one call
+    @pytest.mark.parametrize("m, k, n", [(64, 11, 1500), (64, 15, 1500), (256, 512, 100),
+                                         (7, 5, 10_000), (3, 2, 5)])
     def test_matches_matmul_in_bounded_blocks(self, monkeypatch, m, k, n):
         rng = np.random.default_rng(m * n)
-        block_sizes = []
-        matmul = np.matmul
-
-        def recording_matmul(x, y, **kwargs):
-            block_sizes.append(x.shape[0] * x.shape[1] * y.shape[1])
-            return matmul(x, y, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", recording_matmul)
+        calls = recording_matmul(monkeypatch)
         # small integers: every summation order is exact, so equal bits show
         # that each output column comes from its own column of b
         a = rng.integers(-50, 50, (m, k)).astype(float)
         b = rng.integers(-50, 50, (k, n)).astype(float)
         assert data.blocked_matmul(a, b).tobytes() == (a @ b).tobytes()
+        block_sizes = [size for call in calls for size in call]
         assert sum(block_sizes) == m * k * n
         assert max(block_sizes) <= 2**18
+        assert len(calls) <= 2
         # general values: OpenBLAS may round a column tail of the one large
-        # product in another order, so only the dot-product error bound holds
+        # product in another order, so only the dot-product error bound holds;
+        # each block is the BLAS call of the loop form, so its bytes hold
         a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
         bound = 2 * k * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
         assert np.all(np.abs(data.blocked_matmul(a, b) - a @ b) <= bound)
+        assert data.blocked_matmul(a, b).tobytes() == matmul_by_blocks(a, b).tobytes()
+
+    @pytest.mark.parametrize("seg", [128, 512, 1024])
+    def test_welch_product_keeps_loop_form_bytes(self, seg):
+        trial = generate_dataset(SynthConfig(n_trials_per_class=1)).trial(3)
+        segments = np.lib.stride_tricks.sliding_window_view(trial, seg, axis=-1)[:, :: seg // 2]
+        segments = (segments - segments.mean(axis=-1, keepdims=True)).reshape(-1, seg)
+        freqs, _ = welch_kernel(SPEC, WelchConfig(seg, seg // 2))
+        bins = tuple(np.rint(freqs * seg / SPEC.sample_rate_hz).astype(int).tolist())
+        basis = spectral._kept_bin_basis(seg, bins)
+        assert data.blocked_matmul(segments, basis).tobytes() == \
+            matmul_by_blocks(segments, basis).tobytes()
+
+    def test_trial_pipeline_calls_matmul_at_most_six_times_a_trial(self, monkeypatch):
+        calls = recording_matmul(monkeypatch)
+        extract_feature_set(generate_dataset(SynthConfig(n_trials_per_class=2)), WelchConfig())
+        assert 0 < len(calls) <= 6 * 8
+
+
+class TestTrialForm:
+    # the one draw of all components is the per-component uniform draws, in order
+    @pytest.mark.parametrize("name", FORM_CONFIGS)
+    def test_trial_keeps_loop_form_bytes(self, name):
+        for tid in range(8):
+            for mis in (False, True):
+                made, looped = (form(tid % 4, mis, FORM_CONFIGS[name], MONTAGE,
+                                     np.random.default_rng(tid), SPEC)
+                                for form in (generate_trial, trial_by_loops))
+                assert made.tobytes() == looped.tobytes()
+
+    def test_odd_sample_count_keeps_loop_form_bytes(self):
+        spec = AcquisitionSpec(trial_seconds=2.002)  # 1001 samples
+        made, looped = (form(1, True, SynthConfig(), MONTAGE, np.random.default_rng(5), spec)
+                        for form in (generate_trial, trial_by_loops))
+        assert made.tobytes() == looped.tobytes()
 
 
 class TestHashing:
