@@ -213,17 +213,12 @@ def _history_csv(history, chash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scaled(train_set):
-    """(the scaler fitted on a train set, its rows standardized by it)."""
-    scaler = FeatureScaler.fit(train_set.flat())
-    return scaler, scaler.transform(train_set.flat())
-
-
-def _train_on(cfg: RunConfig, train_set, x, mode: TrainMode):
+def _train_on(cfg: RunConfig, train_set, scaler: FeatureScaler, mode: TrainMode):
     """(params rounded to float32 in place, as in a model file, model config,
-    history) of training on x, the train set's rows standardized."""
+    history) of training on the train set's rows standardized by scaler."""
     model_cfg = _model_config(cfg, train_set.n_channels, train_set.bin_freqs_hz)
-    params, history = train(x, train_set.class_labels, train_set.domain_labels, model_cfg, mode)
+    params, history = train(scaler.transform(train_set.flat()), train_set.class_labels,
+                            train_set.domain_labels, model_cfg, mode)
     for layer in params.all_layers():
         layer.w[...], layer.b[...] = layer.w.astype(np.float32), layer.b.astype(np.float32)
     return params, model_cfg, history
@@ -237,8 +232,8 @@ def _evaluate_on(params, scaler, test_set):
 def _cmd_train(cfg: RunConfig, args) -> int:
     mode = TrainMode(args.mode)
     train_set = _split(cfg, read_features(args.features))[0]  # the features go before training
-    scaler, x = _scaled(train_set)
-    params, model_cfg, history = _train_on(cfg, train_set, x, mode)
+    scaler = FeatureScaler.fit(train_set.flat())
+    params, model_cfg, history = _train_on(cfg, train_set, scaler, mode)
     chash = config_hash(cfg)
     out = Path(args.out or Path(cfg.out_dir) / f"model_{mode.value}.bin")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -311,10 +306,10 @@ def run_report(cfg: RunConfig, n_seeds: int, out_dir: Path) -> dict:
             _write_maps(_band_maps(cfg, features), out_dir / "topomaps", chash)
         train_set, test_set = _split(cfg, features)
         del features
-        scaler, x = _scaled(train_set)
+        scaler = FeatureScaler.fit(train_set.flat())
         row: dict = {"seed": synth_cfg.seed}
         for mode in TrainMode:
-            params = _train_on(cfg, train_set, x, mode)[0]
+            params = _train_on(cfg, train_set, scaler, mode)[0]
             row[mode.value] = _evaluate_on(params, scaler, test_set).to_dict()
             del params
         per_seed.append(row)

@@ -36,6 +36,12 @@ MODEL_FORMAT = "eegintent-model-v1"
 SUPPRESSED_BANDS = ("delta", "alpha", "gamma")
 
 
+def _check_bandwidth(bandwidth: float | None, name: str) -> None:
+    """A fixed RBF width must keep its square and 2 / its square finite and nonzero."""
+    if bandwidth is not None and not 1e-150 <= bandwidth <= 1e150:
+        raise ValueError(f"{name} must be in [1e-150, 1e150] when fixed, got {bandwidth}")
+
+
 class TrainMode(Enum):
     BASELINE = "baseline"
     MULTITASK = "multitask"
@@ -85,8 +91,7 @@ class ModelConfig(Schema):
         for name in ("lambda1", "lambda2", "learning_rate", "weight_init_scale"):
             if (value := getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.mmd_bandwidth is not None and self.mmd_bandwidth <= 0:
-            raise ValueError("mmd_bandwidth must be positive when fixed")
+        _check_bandwidth(self.mmd_bandwidth, "mmd_bandwidth")
         if not set(SUPPRESSED_BANDS) <= set(self.bands.names):
             raise ValueError(f"bands must include {', '.join(SUPPRESSED_BANDS)}")
 
@@ -218,8 +223,7 @@ def _stack_backward(layers, cache, d_out, relu_last: bool):
     return grads, d
 
 
-def _check_features(params: ModelParams, x: np.ndarray) -> None:
-    expected = params.encoder[0].w.shape[0]
+def _check_features(x: np.ndarray, expected: int) -> None:
     if x.ndim != 2 or x.shape[1] != expected:
         raise ShapeMismatch(
             f"feature dim {x.shape[-1]} does not match model input dim {expected}"
@@ -240,7 +244,7 @@ def _first_layer(params: ModelParams, x):
     """(rows, z1): the _view_rows of a [trials x inputs] batch and the first
     encoder layer's pre-activation on them."""
     x = np.asarray(x, dtype=np.float64)
-    _check_features(params, x)
+    _check_features(x, params.encoder[0].w.shape[0])
     rows = _view_rows(params.mask, x)
     return rows, rows @ params.encoder[0].w + params.encoder[0].b
 
@@ -274,7 +278,7 @@ def predict(params: ModelParams, x) -> np.ndarray:
     rows alone: forward()'s classes, though the product of n rather than 2n
     rows may round a logit's last bits differently. Ties go to the lowest index."""
     x = np.asarray(x, dtype=np.float64)
-    _check_features(params, x)
+    _check_features(x, params.encoder[0].w.shape[0])
     rows = x if np.all(params.mask == 1.0) else x * params.mask  # no copy in baseline mode
     emb, _ = _stack_forward(params.encoder, rows, relu_last=True)
     return np.argmax(_stack_forward(params.class_head, emb, relu_last=False)[0], axis=1)
@@ -347,8 +351,7 @@ def mmd_rbf(x, y, bandwidth: float | None) -> float:
         raise ShapeMismatch(f"MMD needs two groups of one width, got {x.shape} and {y.shape}")
     if len(x) == 0 or len(y) == 0:
         raise EmptyGroup("MMD needs at least one vector per group")
-    if bandwidth is not None and bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    _check_bandwidth(bandwidth, "bandwidth")
     return _mmd(np.vstack([x, y]), _mmd_weights(len(x), len(y)), bandwidth, False)[0]
 
 
@@ -444,7 +447,9 @@ def train(
     """Mini-batch gradient descent, deterministic in config.seed.
 
     Returns the trained parameters and one aggregated LossBreakdown per
-    epoch. Raises NonFiniteLoss (with the epoch index) on divergence.
+    epoch. Raises NonFiniteLoss (with the epoch index) on divergence. train
+    owns its rows: both views go into one array and x is dropped before any
+    weight is drawn, so a caller of train(scaler.transform(...), ...) keeps none.
     """
     cfg = effective_config(config, mode)
     x = np.asarray(x, dtype=np.float64)
@@ -452,26 +457,26 @@ def train(
     n = len(x)
     if n == 0:
         raise ValueError("cannot train on an empty set")
+    _check_features(x, cfg.input_dim)
+    rows = _view_rows(input_mask(cfg), x)
+    del x
     params = init_params(cfg)
-    _check_features(params, x)
     shuffle_rng = np.random.default_rng([cfg.seed, 0x5EED])
     history: list[LossBreakdown] = []
     # divergence surfaces as NonFiniteLoss, not as overflow warning spam
     with np.errstate(over="ignore", invalid="ignore"):
-        _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history)
+        _train_loop(params, rows, n, y_class, y_domain, cfg, shuffle_rng, history)
     return params, history
 
 
-def _train_loop(params, x, y_class, y_domain, cfg, shuffle_rng, history):
+def _train_loop(params, rows, n, y_class, y_domain, cfg, shuffle_rng, history):
     """Plain SGD keeps the first encoder layer at W_0 + R.T @ C for the M
-    _view_rows R of x. While M < input_dim, a step takes the first layer's
-    pre-activation from P0 = R @ W_0, the Gram matrix R @ R.T and C, and W
-    is formed once at the end; else it takes R @ W and W is updated densely."""
-    (n, dim), first, lr = x.shape, params.encoder[0], cfg.learning_rate
+    _view_rows R of the n trials. While M < input_dim, a step takes the first
+    layer's pre-activation from P0 = R @ W_0, the Gram matrix R @ R.T and C,
+    and W is formed once at the end; else it takes R @ W and W is updated densely."""
+    (m, dim), first, lr = rows.shape, params.encoder[0], cfg.learning_rate
     # the layers after the first, less the domain head when a zero lambda1 keeps it fixed
     trained = params.all_layers()[1 : None if cfg.lambda1 else -len(params.domain_head)]
-    rows = _view_rows(params.mask, x)
-    m = len(rows)
     span = m < dim
     if span:
         p0, gram, coef = rows @ first.w, rows @ rows.T, np.zeros((m, first.w.shape[1]))

@@ -352,6 +352,23 @@ class TestExitCodes:
         assert "train: ValueError: model." in err and key in err
         assert not (tmp_path / "m.bin").exists()
 
+    @pytest.mark.parametrize("stage", ["train", "report"])
+    @pytest.mark.parametrize("bandwidth", [1e-300, 1e300])
+    def test_bandwidth_with_a_zero_or_overflowing_square_named(
+            self, tmp_path, tiny_features, capsys, recwarn, stage, bandwidth):
+        # 1e-300 squares to 0.0: train raised ZeroDivisionError at 2 / bandwidth**2
+        # and report warned "divide by zero" before NonFiniteLoss; 1e300's square
+        # raised OverflowError
+        path, out = tmp_path / "c.json", tmp_path / "out"
+        path.write_text(json.dumps(
+            {**TINY_CONFIG, "model": {**TINY_CONFIG["model"], "mmd_bandwidth": bandwidth}}))
+        inputs = ["--features", str(tiny_features)] if stage == "train" else []
+        assert run(stage, "--config", str(path), *inputs, "--out", str(out)) == 1
+        assert (f"error: {stage}: ValueError: model.mmd_bandwidth must be in [1e-150, 1e150] "
+                f"when fixed, got {bandwidth}") in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, key",
         [

@@ -581,12 +581,18 @@ class TestSpanTrain:
         assert_close_rel(params, ref, 1e-9)
 
     @pytest.mark.parametrize("shape", [(10, 25), (30, 25), (24,), (10, 12)])
-    def test_wrong_feature_shape_raises_before_training(self, shape):
+    def test_wrong_feature_shape_raises_before_training(self, shape, monkeypatch):
+        import eegintent.model as model
+
         cfg = toy_config(n_channels=4)
         n = shape[0]
+        drawn = []
+        real = model.init_params
+        monkeypatch.setattr(model, "init_params", lambda config: drawn.append(1) or real(config))
         with pytest.raises(ShapeMismatch):
             train(np.zeros(shape), np.zeros(n, dtype=int), np.arange(n) % 2, cfg,
                   TrainMode.MULTITASK)
+        assert not drawn  # the width is checked before any weight is drawn
 
 
 class TestTrain:
@@ -640,6 +646,34 @@ class TestTrain:
         assert np.all(params.mask == 1.0)
         for h in history:
             assert h.l_total == h.l_class
+
+    def test_owns_the_rows_it_is_given(self):
+        # 64 rows of 64 channels x 50 bins: a 1.6 MB single-view copy that a
+        # caller of train(scaler.transform(...)) holds no longer once train has
+        # written both views, before the 6.5 MB first layer is drawn
+        cfg = ModelConfig(n_channels=64, bin_freqs_hz=tuple(np.arange(1.0, 51.0)), epochs=1)
+        raw = np.random.default_rng(8).normal(size=(64, cfg.input_dim)).astype(np.float32)
+        yc, yd = np.arange(64) % 4, np.arange(64) % 2
+        scaler = FeatureScaler.fit(raw)
+        copy_bytes = 64 * cfg.input_dim * 8
+
+        def passed():
+            train(scaler.transform(raw), yc, yd, cfg, TrainMode.MULTITASK)
+
+        def kept():
+            x = scaler.transform(raw)
+            train(x, yc, yd, cfg, TrainMode.MULTITASK)
+
+        peaks = {passed: [], kept: []}
+        for call in (passed, kept) * 4:  # round 1 fills caches; the min drops allocator noise
+            tracemalloc.start()
+            try:
+                call()
+                peaks[call].append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert copy_bytes >= 1 << 20
+        assert min(peaks[passed][1:]) <= min(peaks[kept][1:]) - copy_bytes
 
     def test_divergence_raises_with_epoch(self):
         cfg = toy_config(learning_rate=1e9, epochs=10, batch_size=4)
