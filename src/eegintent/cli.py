@@ -159,7 +159,7 @@ def _cmd_synth(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = out_dir / "dataset.json"
-    dataset = generate_dataset(cfg.synth, path=manifest)  # the trials go to the blob
+    dataset = generate_dataset(cfg.synth, path=manifest)  # room for the blob first
     save_dataset(dataset, manifest, config_hash=config_hash(cfg))
     print(f"wrote {manifest} ({len(dataset)} trials)")
     return 0

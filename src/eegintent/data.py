@@ -2,10 +2,10 @@
 blocking, and splitting.
 
 A dataset's trials are read-only float32 [channels x samples] arrays in
-microvolts, read from its blob or made by a maker of trial i, plus int64
-trial ids, class labels and domain labels (1 = misarticulated). On disk it is
-a JSON manifest, which names the domains as DOMAIN_NAMES, plus one blob that
-holds trial i channel-major as little-endian float32 at byte
+microvolts made by a maker of trial i, plus int64 trial ids, class labels and
+domain labels (1 = misarticulated). On disk, written by save_dataset alone, it
+is a JSON manifest, which names the domains as DOMAIN_NAMES, plus one blob
+beside it that holds trial i channel-major as little-endian float32 at byte
 i * channels * samples * 4: a round trip is bit-exact.
 """
 
@@ -116,19 +116,19 @@ def check_trial(spec: AcquisitionSpec, trial_id, trial: np.ndarray) -> np.ndarra
 @dataclass(frozen=True)
 class Dataset:
     """An acquisition spec, the channel ordering, and the trials (see the
-    module docstring): the Path of their blob, or a maker, a function that
-    returns trial i. Construction checks the labels; TypeError for other samples."""
+    module docstring) as a maker, a function that returns trial i.
+    Construction checks the labels; TypeError for samples that are not callable."""
 
     spec: AcquisitionSpec
     channel_names: tuple[str, ...]
-    samples: Path | Callable[[int], np.ndarray] = field(repr=False)
+    samples: Callable[[int], np.ndarray] = field(repr=False)
     trial_ids: np.ndarray
     class_labels: np.ndarray
     domain_labels: np.ndarray  # 1 = misarticulated
 
     def __post_init__(self):
-        if not (isinstance(self.samples, Path) or callable(self.samples)):
-            raise TypeError(f"samples must be the Path of a blob or a maker of trial i, "
+        if not callable(self.samples):
+            raise TypeError(f"samples must be a maker of trial i, "
                             f"got {type(self.samples).__name__}")
         names = check_channel_names(self.channel_names, self.spec.n_channels)
         object.__setattr__(self, "channel_names", names)
@@ -141,18 +141,8 @@ class Dataset:
         return len(self.trial_ids)
 
     def trial(self, i: int) -> np.ndarray:
-        """Trial i, read-only float32, through check_trial: the maker's, or one
-        os.pread from the blob (a memory map's pages would count as resident)."""
-        if callable(self.samples):
-            trial = self.samples(i)
-        else:
-            nbytes = 4 * self.spec.n_channels * self.spec.n_samples
-            with open(self.samples, "rb") as fh:
-                raw = os.pread(fh.fileno(), nbytes, i * nbytes)
-            if len(raw) != nbytes:
-                raise IoFailure(f"{self.samples}: trial {self.trial_ids[i]} is cut short")
-            trial = np.frombuffer(raw, dtype="<f4").reshape(self.spec.n_channels, -1)
-        return check_trial(self.spec, self.trial_ids[i], trial)
+        """Trial i, read-only float32: the maker's, through check_trial."""
+        return check_trial(self.spec, self.trial_ids[i], self.samples(i))
 
 
 def _usable_cores() -> int:
@@ -212,43 +202,40 @@ def parse_trial_entries(rows):
                         [DOMAIN_NAMES.index(name) for name in domains])
 
 
-def write_trials(path, spec: AcquisitionSpec, trial_ids, trial) -> Path:
-    """The blob beside the manifest `path`, written by codec.atomic_file: trial(i),
-    float32 through check_trial, is one os.pwrite at its own offset from a
-    map_trials worker, so the order trials finish in cannot change a byte.
-    IoFailure before any trial if the blob outgrows the disk; a trial's error is raised."""
-    blob, nbytes = Path(path).with_suffix(".bin"), 4 * spec.n_channels * spec.n_samples
-    with atomic_file(blob) as fh:
-        fs = os.fstatvfs(fh.fileno())
-        if (need := len(trial_ids) * nbytes) > (free := fs.f_bavail * fs.f_frsize):
-            raise IoFailure(f"cannot write {blob}: {need} bytes needed, {free} bytes free")
-
-        def put(i: int) -> None:
-            samples = check_trial(spec, trial_ids[i], np.ascontiguousarray(trial(i), "<f4"))
-            if os.pwrite(fh.fileno(), samples, i * nbytes) < nbytes:
-                raise IoFailure(f"cannot write {blob}: trial {trial_ids[i]} was written short")
-
-        map_trials(put, len(trial_ids))
+def check_room(path, spec: AcquisitionSpec, n_trials: int) -> Path:
+    """The blob beside the manifest `path`; IoFailure if that is `path` itself,
+    or if n_trials trials outgrow the free space of its directory's disk."""
+    blob, need = Path(path).with_suffix(".bin"), n_trials * 4 * spec.n_channels * spec.n_samples
+    if blob == Path(path):
+        raise IoFailure(f"cannot write {blob}: a manifest must not end in .bin, its blob's suffix")
+    try:
+        free = (fs := os.statvfs(blob.parent)).f_bavail * fs.f_frsize
+    except OSError as exc:
+        raise IoFailure(f"cannot write {blob}: {exc}") from exc
+    if need > free:
+        raise IoFailure(f"cannot write {blob}: {need} bytes needed, {free} bytes free")
     return blob
 
 
 def save_dataset(dataset: Dataset, path, *, config_hash: str) -> None:
-    """Write `path` (JSON manifest) after its sibling .bin blob, each atomically;
-    write_trials writes the blob unless the dataset reads its trials from it.
+    """After check_room, the blob, then the manifest `path`, each by codec.atomic_file
+    (OSError: IoFailure). Trial i, the maker's as float32 through check_trial, is
+    one os.pwrite at its own offset from a map_trials worker, so the order trials
+    finish in cannot change a byte; a trial's error is raised."""
+    spec, trial_ids = dataset.spec, dataset.trial_ids
+    blob, nbytes = check_room(path, spec, len(trial_ids)), 4 * spec.n_channels * spec.n_samples
+    with atomic_file(blob) as fh:
+        def put(i: int) -> None:
+            trial = np.ascontiguousarray(dataset.samples(i), "<f4")
+            if os.pwrite(fh.fileno(), check_trial(spec, trial_ids[i], trial), i * nbytes) < nbytes:
+                raise IoFailure(f"cannot write {blob}: trial {trial_ids[i]} was written short")
 
-    Raises IoFailure if either file cannot be written.
-    """
-    manifest_path = Path(path)
-    blob = dataset.samples
-    if not (isinstance(blob, Path) and blob == manifest_path.with_suffix(".bin")):
-        trial = blob if callable(blob) else dataset.trial  # write_trials checks each trial
-        blob = write_trials(manifest_path, dataset.spec, dataset.trial_ids, trial)
-    nbytes = 4 * dataset.spec.n_channels * dataset.spec.n_samples
-    entries = trial_entries(dataset.trial_ids, dataset.class_labels, dataset.domain_labels)
+        map_trials(put, len(trial_ids))
+    entries = trial_entries(trial_ids, dataset.class_labels, dataset.domain_labels)
     manifest = {
         "format": MANIFEST_FORMAT,
         "config_hash": config_hash,
-        "spec": dataset.spec.to_dict(),
+        "spec": spec.to_dict(),
         "channel_names": list(dataset.channel_names),
         "trials": [
             {**entry, "blob_file": blob.name, "byte_offset": i * nbytes,
@@ -256,16 +243,17 @@ def save_dataset(dataset: Dataset, path, *, config_hash: str) -> None:
             for i, entry in enumerate(entries)
         ],
     }
-    write_text(manifest_path, json.dumps(manifest, indent=1) + "\n")
+    write_text(path, json.dumps(manifest, indent=1) + "\n")
 
 
 def load_dataset(path) -> Dataset:
-    """Read a manifest written by save_dataset, and each trial of its blob once.
+    """Read a manifest written by save_dataset, and each trial of its blob once;
+    the Dataset's maker reads trial i by one os.pread (IoFailure if cut short).
 
-    The entries must give save_dataset's layout: one blob file of exactly its
-    trials, trial i at byte i * channels * samples * 4. Raises MissingFile,
-    MalformedManifest (also for trailing bytes), DimensionMismatch or
-    NonFiniteSample; the latter two name the offending trial_id.
+    The entries must give save_dataset's layout: the blob `path` with suffix
+    .bin, of exactly its trials, trial i at byte i * channels * samples * 4.
+    Raises MissingFile, MalformedManifest (also for trailing bytes),
+    DimensionMismatch or NonFiniteSample; the latter two name the trial_id.
     """
     manifest_path = Path(path)
     manifest, _ = read_header(manifest_path, MANIFEST_FORMAT, "manifest", blob=False)
@@ -274,7 +262,7 @@ def load_dataset(path) -> Dataset:
         nbytes = 4 * spec.n_channels * spec.n_samples
         rows = manifest["trials"]
         trial_ids, class_labels, domain_labels = parse_trial_entries(rows)
-        blob_file = rows[0]["blob_file"] if rows else manifest_path.with_suffix(".bin").name
+        blob_file = manifest_path.with_suffix(".bin").name
         for i, row in enumerate(rows):
             span = (row["blob_file"], row["byte_offset"], row["byte_length"])
             if span != (blob_file, i * nbytes, nbytes) or not all(map(is_int, span[1:])):
@@ -290,7 +278,15 @@ def load_dataset(path) -> Dataset:
                                     f"a {size}-byte file", what=f"bytes of {blob_file}")
         if size > len(rows) * nbytes:
             raise ValueError(f"{size - len(rows) * nbytes} trailing bytes in {blob_file}")
-        dataset = Dataset(spec, manifest["channel_names"], blob_path, trial_ids, class_labels,
+
+        def read(i: int) -> np.ndarray:
+            with open(blob_path, "rb") as fh:
+                raw = os.pread(fh.fileno(), nbytes, i * nbytes)  # a map's pages stay resident
+            if len(raw) != nbytes:
+                raise IoFailure(f"{blob_path}: trial {trial_ids[i]} is cut short")
+            return np.frombuffer(raw, dtype="<f4").reshape(spec.n_channels, -1)
+
+        dataset = Dataset(spec, manifest["channel_names"], read, trial_ids, class_labels,
                           domain_labels)
     for i in range(len(dataset)):
         dataset.trial(i)  # check_trial's scan

@@ -7,9 +7,9 @@ the gamma component down at temporal channels, so the generator is its own
 ground truth for the statistics and decoding stages.
 
 generate_trial returns one trial's samples; generate_dataset's Dataset makes
-each trial, rounded to float32, when it is read, or reads it from the blob
-data.write_trials wrote. Neither holds the trial table, and features come
-from spectral.extract_feature_set alone.
+each trial, rounded to float32, when it is read, and data.save_dataset writes
+them to disk. Neither holds the trial table, and features come from
+spectral.extract_feature_set alone.
 
 Determinism contract: every trial draws from its own generator seeded with
 seed XOR splitmix64(trial_id), and the domain label only multiplies
@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codec import Schema
-from .data import N_CLASSES, AcquisitionSpec, Dataset, blocked_matmul, write_trials
+from .data import N_CLASSES, AcquisitionSpec, Dataset, blocked_matmul, check_room
 from .montage import Montage, Region, default_montage
 from .spectral import WelchConfig
 
@@ -217,14 +217,16 @@ def generate_dataset(config: SynthConfig, *, path=None) -> Dataset:
     """N_CLASSES * n_trials_per_class trials of the default acquisition spec and
     montage, classes round-robin, domains Bernoulli from each trial's first
     draw: a Dataset whose trial(i) makes trial i as read-only float32 (a
-    trial's error raised as is), or, given a manifest `path`, the Dataset of
-    the blob data.write_trials writes beside it, disk check first.
+    trial's error raised as is). Given the manifest `path` it will be saved
+    to, data.check_room runs first, before the labels are drawn.
 
     A pure function of the config: per-trial generators are derived from
     config.seed, so trial order and prior draws cannot leak between trials.
     """
     montage, spec = default_montage(), AcquisitionSpec()
     n_trials = N_CLASSES * config.n_trials_per_class
+    if path is not None:
+        check_room(path, spec, n_trials)
 
     def first_draw(tid: int):
         rng = np.random.default_rng(trial_seed(config.seed, tid))
@@ -236,7 +238,6 @@ def generate_dataset(config: SynthConfig, *, path=None) -> Dataset:
         trial.flags.writeable = False
         return trial
 
-    samples = make if path is None else write_trials(path, spec, range(n_trials), make)
     trial_ids = np.arange(n_trials)
-    return Dataset(spec, montage.channel_names[: spec.n_channels], samples, trial_ids,
+    return Dataset(spec, montage.channel_names[: spec.n_channels], make, trial_ids,
                    trial_ids % N_CLASSES, [first_draw(tid)[1] for tid in range(n_trials)])

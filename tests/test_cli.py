@@ -540,6 +540,23 @@ class TestStreamedStages:
         assert "error: features: DimensionMismatch: trial 2: expected bytes of dataset.bin" in err
         assert not out.exists()
 
+    def test_manifest_reads_only_its_sibling_blob(self, tmp_path, tiny_features, capsys,
+                                                  no_features):
+        # entries naming another directory's blob load none of its trials
+        shutil.copy(tiny_features.parent / "dataset.bin", tmp_path / "dataset.bin")
+        manifest = json.loads((tiny_features.parent / "dataset.json").read_text())
+        for entry in manifest["trials"]:
+            entry["blob_file"] = "../dataset.bin"
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "dataset.json").write_text(json.dumps(manifest))
+        out = tmp_path / "features.bin"
+        assert run("features", "--dataset", str(tmp_path / "run" / "dataset.json"),
+                   "--out", str(out)) == 1
+        printed, err = capsys.readouterr()
+        assert ("error: features: DimensionMismatch: trial 0: expected (blob_file, byte_offset, "
+                f"byte_length) ('dataset.bin', 0, {TRIAL_BYTES}), got ('../dataset.bin'") in err
+        assert printed == "" and "Traceback" not in err and not out.exists()
+
     def test_stage_chain_peaks_below_a_quarter_of_the_trial_table(self, tmp_path):
         # the default 200 trials: a 76.8 MB trial table that neither stage holds
         table_bytes = 200 * TRIAL_BYTES

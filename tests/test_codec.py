@@ -254,6 +254,20 @@ def test_bad_model_file_named(files, capsys, defect):
     assert "eval: MalformedManifest" in err and "model.bin" in err
 
 
+@pytest.mark.parametrize("name", ["features.bin", "model.bin"])
+def test_trailing_blob_bytes_named(files, capsys, name):
+    with open(files[name], "ab") as fh:
+        fh.write(bytes(8))
+    with pytest.raises(MalformedManifest, match=f"{name}: ValueError: 8 trailing bytes in blob"):
+        (read_features if name == "features.bin" else load_model)(files[name])
+    out = files[name].parent / "eval.json"
+    assert run("eval", "--features", files["features.bin"], "--model", files["model.bin"],
+               "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"eval: MalformedManifest: {files[name]}: ValueError: 8 trailing bytes in blob" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 # --- config values are checked once, at load ------------------------------
 
 @pytest.mark.parametrize(
@@ -301,6 +315,20 @@ def test_stats_alpha_outside_unit_interval(files, capsys, argv, config):
     err = capsys.readouterr().err
     assert "stats: ValueError" in err and "alpha" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [(None, "no config file at "),
+                                           ("{not json", "config file ")])
+def test_unreadable_config_file_named(tmp_path, capsys, text, message):
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(PipelineError, match=f"^{message}"):
+        load_run_config(str(path))
+    assert run("synth", "--config", path, "--out", tmp_path / "run") == 1
+    err = capsys.readouterr().err
+    assert f"error: synth: PipelineError: {message}{path}" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_default_config_round_trips(tmp_path):

@@ -20,6 +20,7 @@ from eegintent.errors import (
 )
 from eegintent.montage import default_montage
 from eegintent.spectral import WelchConfig, extract_feature_set
+from eegintent.synth import SynthConfig, generate_dataset
 from oracles import maker_of
 
 
@@ -60,10 +61,19 @@ class TestValidation:
             Dataset(ds.spec, ds.channel_names, ds.samples, [0], [4], [0])
 
     def test_array_samples_refused(self):
-        # a table in memory is wrapped as a maker; the dataset holds a blob's Path or a maker
+        # a table in memory is wrapped as a maker, the dataset's one trial form
         ds = make_dataset(1)
-        with pytest.raises(TypeError, match="Path of a blob or a maker of trial i, got ndarray"):
+        with pytest.raises(TypeError, match="samples must be a maker of trial i, got ndarray"):
             Dataset(ds.spec, ds.channel_names, np.zeros((1, 4, 32)), [0], [0], [0])
+
+    @pytest.mark.parametrize("ids, classes, domains, message", [
+        ([0, 1], [0], [0, 1], "label vectors of lengths 2, 1, 2"),
+        ([-1], [0], [0], "trial_id must be non-negative, got -1"),
+    ])
+    def test_label_vectors_checked(self, ids, classes, domains, message):
+        ds = make_dataset(1)
+        with pytest.raises(ValueError, match=message):
+            Dataset(ds.spec, ds.channel_names, ds.samples, ids, classes, domains)
 
     def test_duplicate_trial_ids(self):
         ds = make_dataset(2)
@@ -153,6 +163,26 @@ class TestRoundTrip:
         b = (tmp_path / "b.bin").read_bytes()
         assert a == b
 
+    def test_loaded_dataset_resaved_byte_identical(self, tmp_path):
+        # a blob-read dataset is rewritten through its maker, to a new path and over itself
+        path, copy = tmp_path / "set.json", tmp_path / "copy"
+        save_dataset(make_dataset(5), path, config_hash="ab" * 32)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        loaded = load_dataset(path)
+        copy.mkdir()
+        save_dataset(loaded, copy / "set.json", config_hash="ab" * 32)
+        save_dataset(loaded, path, config_hash="ab" * 32)
+        for directory in (tmp_path, copy):
+            assert {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()} == files
+
+    def test_manifest_named_like_its_blob_refused(self, tmp_path):
+        # the manifest would be written over the blob it names: refused before any file
+        for write in (lambda path: save_dataset(make_dataset(2), path, config_hash=""),
+                      lambda path: generate_dataset(SynthConfig(n_trials_per_class=1), path=path)):
+            with pytest.raises(IoFailure, match="d.bin: a manifest must not end in .bin"):
+                write(tmp_path / "d.bin")
+            assert list(tmp_path.iterdir()) == []
+
     def test_empty_dataset(self, tmp_path):
         ds = Dataset(tiny_spec(), default_montage().channel_names[:4],
                      maker_of(np.zeros((0, 4, 32))), [], [], [])
@@ -216,6 +246,32 @@ class TestLoadErrors:
         path.write_text(json.dumps(manifest))
         with pytest.raises(DimensionMismatch, match=f"trial 2: .*{key}"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("manifest, blob_file", [("run/set.json", "../set.bin"),
+                                                      ("renamed.json", "set.bin")])
+    def test_manifest_reads_only_its_sibling_blob(self, tmp_path, manifest, blob_file):
+        # every entry must name the blob save_dataset writes beside the manifest
+        save_dataset(make_dataset(3), tmp_path / "set.json", config_hash="")
+        header = json.loads((tmp_path / "set.json").read_text())
+        for entry in header["trials"]:
+            entry["blob_file"] = blob_file
+        path = tmp_path / manifest
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(header))
+        sibling = path.with_suffix(".bin").name
+        with pytest.raises(DimensionMismatch,
+                           match=rf"trial 0: .* \('{sibling}', 0, 512\), got \('{blob_file}'"):
+            load_dataset(path)
+
+    def test_blob_cut_after_load_named(self, tmp_path):
+        path = tmp_path / "set.json"
+        save_dataset(make_dataset(3), path, config_hash="")
+        loaded = load_dataset(path)
+        blob = tmp_path / "set.bin"
+        blob.write_bytes(blob.read_bytes()[: 4 * 4 * 32 + 10])
+        assert loaded.trial(0).shape == (4, 32)
+        with pytest.raises(IoFailure, match="set.bin: trial 1 is cut short"):
+            loaded.trial(1)
 
     def test_truncated_blob_names_trial(self, tmp_path):
         ds = make_dataset(3)

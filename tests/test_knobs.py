@@ -15,7 +15,7 @@ KEPT = {
     "cli.main(argv)",  # None reads sys.argv
     "codec.read_header(blob)",  # False for the dataset manifest
     "errors.DimensionMismatch.__init__(what)",  # the blob layout messages
-    "synth.generate_dataset(path)",  # None in memory, a manifest path for the blob
+    "synth.generate_dataset(path)",  # None in memory, a manifest path to check room for first
 }
 
 
