@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import Schema, write_text
+from .codec import Schema, make_dir, write_text
 from .data import (
     SplitConfig,
     load_dataset,
@@ -27,12 +27,13 @@ from .data import (
 from .errors import OutOfMemory, PipelineError, ShapeMismatch, SplitMismatch
 from .evaluation import evaluate
 from .model import (
-    SUPPRESSED_BANDS,
     FeatureScaler,
     ModelConfig,
+    ModelSection,
     TrainMode,
     load_model,
     save_model,
+    suppressed_bands,
     train,
 )
 from .montage import default_montage
@@ -68,35 +69,24 @@ class ReportConfig(Schema):
             raise ValueError(f"seeds must be at least 1, got {self.seeds}")
 
 
-# ModelConfig's fields that the data and the bands section set, not the model section
-_DATA_KEYS = ("n_channels", "bin_freqs_hz", "bands")
-
-
 @dataclass(frozen=True)
 class RunConfig(Schema):
-    """The run config: one section per stage. A file's section replaces only
-    the keys it names, except `bands`, which replaces the whole table."""
+    """The run config: one typed section per stage, `model` without the data's layout.
+    A file's section replaces only the keys it names, except `bands`, the whole table."""
 
     out_dir: str = "runs"
     synth: SynthConfig = field(default_factory=SynthConfig)
     welch: WelchConfig = field(default_factory=WelchConfig)
     bands: BandTable = field(default_factory=BandTable)
-    model: dict = field(default_factory=dict)
+    model: ModelSection = field(default_factory=ModelSection)
     split: SplitConfig = field(default_factory=SplitConfig)
     stats: StatsConfig = field(default_factory=StatsConfig)
     report: ReportConfig = field(default_factory=ReportConfig)
 
     def __post_init__(self):
         super().__post_init__()
-        try:  # the data sets the real shape
-            if data_keys := [key for key in self.model if key in _DATA_KEYS]:
-                raise ValueError(f"{data_keys[0]} is not a known key")
-            model = _model_config(self, 1, [1.0]).to_dict()
-        except ValueError as exc:
-            raise ValueError(f"model.{exc}") from None
-        object.__setattr__(self, "model", {k: model[k] for k in model if k not in _DATA_KEYS})
         # the decoder's mask must not suppress class evidence
-        suppressed = [self.bands.get(name) for name in SUPPRESSED_BANDS]
+        suppressed = suppressed_bands(self.bands)
         for class_label, freqs in enumerate(self.synth.class_signature_freqs_hz):
             for f in freqs:
                 for band in suppressed:
@@ -139,12 +129,6 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _model_config(cfg: RunConfig, n_channels: int, bin_freqs) -> ModelConfig:
-    """The model section as a ModelConfig for data of this layout and the run's bands."""
-    return ModelConfig.from_dict(
-        {**cfg.model, "n_channels": n_channels, "bin_freqs_hz": bin_freqs, "bands": cfg.bands})
-
-
 def _split(cfg: RunConfig, features):
     """The config's (train, test) subsets of a feature set."""
     indices = stratified_split_indices(
@@ -156,8 +140,7 @@ def _split(cfg: RunConfig, features):
 # --- subcommands ----------------------------------------------------------
 
 def _cmd_synth(cfg: RunConfig, args) -> int:
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out or cfg.out_dir)
     manifest = out_dir / "dataset.json"
     dataset = generate_dataset(cfg.synth, path=manifest)  # room for the blob first
     save_dataset(dataset, manifest, config_hash=config_hash(cfg))
@@ -169,7 +152,7 @@ def _cmd_features(cfg: RunConfig, args) -> int:
     dataset = load_dataset(args.dataset)
     features = extract_feature_set(dataset, cfg.welch)
     out = Path(args.out or Path(cfg.out_dir) / "features.bin")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(out.parent)
     write_features(features, out, sample_rate_hz=dataset.spec.sample_rate_hz,
                    config_hash=config_hash(cfg))
     print(
@@ -180,7 +163,7 @@ def _cmd_features(cfg: RunConfig, args) -> int:
 
 
 def _write_maps(maps, out_dir: Path, chash: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     for tmap in maps:
         write_text(out_dir / f"stats_{tmap.band}.csv", topomap_csv(tmap, config_hash=chash))
         svg = f"<!-- config_hash={chash} -->\n" + render_topomap_svg(tmap)
@@ -216,7 +199,8 @@ def _history_csv(history, chash: str) -> str:
 def _train_on(cfg: RunConfig, train_set, scaler: FeatureScaler, mode: TrainMode):
     """(params rounded to float32 in place, as in a model file, model config,
     history) of training on the train set's rows standardized by scaler."""
-    model_cfg = _model_config(cfg, train_set.n_channels, train_set.bin_freqs_hz)
+    model_cfg = ModelConfig(n_channels=train_set.n_channels, bin_freqs_hz=train_set.bin_freqs_hz,
+                            bands=cfg.bands, **vars(cfg.model))
     params, history = train(scaler.transform(train_set.flat()), train_set.class_labels,
                             train_set.domain_labels, model_cfg, mode)
     for layer in params.all_layers():
@@ -236,7 +220,7 @@ def _cmd_train(cfg: RunConfig, args) -> int:
     params, model_cfg, history = _train_on(cfg, train_set, scaler, mode)
     chash = config_hash(cfg)
     out = Path(args.out or Path(cfg.out_dir) / f"model_{mode.value}.bin")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(out.parent)
     save_model(params, model_cfg, out, mode=mode, config_hash=chash, scaler=scaler)
     write_text(out.with_suffix(".history.csv"), _history_csv(history, chash))
     last = history[-1]
@@ -264,7 +248,7 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
     report = _evaluate_on(params, scaler, test_set)
     payload = {"config_hash": config_hash(cfg), "mode": mode.value, **report.to_dict()}
     out = Path(args.out or Path(cfg.out_dir) / f"eval_{mode.value}.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(out.parent)
     write_text(out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     print(
         f"{mode.value}: accuracy {report.accuracy:.1f}  f1_all {report.f1_all:.1f}  "
@@ -346,8 +330,7 @@ def _report_csv(payload: dict) -> str:
 
 def _cmd_report(cfg: RunConfig, args) -> int:
     n_seeds = cfg.report.seeds
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out or cfg.out_dir)
     payload = run_report(cfg, n_seeds, out_dir)
     write_text(out_dir / "report.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")
     write_text(out_dir / "report.csv", _report_csv(payload))

@@ -49,6 +49,15 @@ def write_text(path, text: str) -> None:
     write_atomic(path, [text.encode("utf-8")])
 
 
+def make_dir(path) -> Path:
+    """`path` as a directory, made with its parents if missing (OSError: IoFailure naming it)."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot make directory {path}: {exc}") from exc
+    return Path(path)
+
+
 def write_header_file(path, header: dict, arrays) -> None:
     """One compact JSON header line, then the arrays as float32 blobs."""
     line = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"

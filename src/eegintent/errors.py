@@ -4,9 +4,14 @@ Every error carries enough context to name the offending trial, channel or
 file, so the CLI can report the failing stage without a traceback.
 """
 
+import copyreg
+
 
 class PipelineError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):  # unpickle without __init__, whose signature may differ from args
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- dataset / manifest ---

@@ -47,37 +47,35 @@ class TrainMode(Enum):
     MULTITASK = "multitask"
 
 
+def suppressed_bands(bands: BandTable) -> list:
+    """The table's delta, alpha and gamma bands; ValueError naming `bands` if one is missing."""
+    if not set(SUPPRESSED_BANDS) <= set(bands.names):
+        raise ValueError(f"bands must include {', '.join(SUPPRESSED_BANDS)}")
+    return [bands.get(name) for name in SUPPRESSED_BANDS]
+
+
 @dataclass(frozen=True)
-class ModelConfig(Schema):
-    """Architecture and training hyperparameters.
+class ModelSection(Schema):
+    """Architecture and training hyperparameters: the run config's `model` section."""
 
-    mmd_bandwidth None means the per-batch median heuristic; a float fixes
-    the RBF bandwidth.
-    """
-
-    n_channels: int
-    bin_freqs_hz: tuple[float, ...]
     encoder_dims: tuple[int, ...] = (256, 64)
     class_head_dims: tuple[int, ...] = (32, 4)
     domain_head_dims: tuple[int, ...] = (32, 2)
     gamma_sup: float = 0.2
     lambda1: float = 0.3
     lambda2: float = 0.3
-    mmd_bandwidth: float | None = 1.0
+    mmd_bandwidth: float | None = 1.0  # None: the per-batch median heuristic
     learning_rate: float = 0.05
     epochs: int = 300
     batch_size: int = 16
     weight_init_scale: float = 0.3
     seed: int = 11
-    bands: BandTable = field(default_factory=BandTable)
 
     def __post_init__(self):
         super().__post_init__()
-        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("n_channels", 1)):
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             if (value := getattr(self, name)) < minimum:
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
-        if not self.bin_freqs_hz:
-            raise ValueError("bin_freqs_hz needs at least one frequency bin")
         for name in ("encoder_dims", "class_head_dims", "domain_head_dims"):
             dims = getattr(self, name)
             if not dims or min(dims) < 1:
@@ -92,8 +90,28 @@ class ModelConfig(Schema):
             if (value := getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         _check_bandwidth(self.mmd_bandwidth, "mmd_bandwidth")
-        if not set(SUPPRESSED_BANDS) <= set(self.bands.names):
-            raise ValueError(f"bands must include {', '.join(SUPPRESSED_BANDS)}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ModelConfig(ModelSection):
+    """The model section plus the data layout, keyword-only: n_channels x bin_freqs_hz inputs
+    and the bands to suppress. to_dict keeps a model header's order: layout, section, bands."""
+
+    n_channels: int
+    bin_freqs_hz: tuple[float, ...]
+    bands: BandTable = field(default_factory=BandTable)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_channels < 1:
+            raise ValueError(f"n_channels must be an integer >= 1, got {self.n_channels}")
+        if not self.bin_freqs_hz:
+            raise ValueError("bin_freqs_hz needs at least one frequency bin")
+        suppressed_bands(self.bands)
+
+    def to_dict(self) -> dict:
+        d = super().to_dict()
+        return {"n_channels": d.pop("n_channels"), "bin_freqs_hz": d.pop("bin_freqs_hz"), **d}
 
     @property
     def input_dim(self) -> int:
@@ -140,8 +158,7 @@ def band_mask_bins(bin_freqs, bands: BandTable, gamma_sup: float) -> np.ndarray:
     """Length-F mask: gamma_sup on delta/alpha/gamma bins, 1.0 elsewhere."""
     freqs = np.asarray(bin_freqs, dtype=np.float64)
     mask = np.ones(len(freqs))
-    for name in SUPPRESSED_BANDS:
-        band = bands.get(name)
+    for band in suppressed_bands(bands):
         mask[band.contains(freqs)] = gamma_sup
     return mask
 

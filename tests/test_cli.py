@@ -87,7 +87,7 @@ class TestConfig:
         cfg = load_run_config(str(tiny_config_path))
         assert cfg.synth.n_trials_per_class == 10
         assert cfg.synth.misarticulation_rate == 0.3  # default retained
-        assert cfg.model["epochs"] == 8
+        assert cfg.model.epochs == 8
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -243,6 +243,27 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("stage", ["synth", "features", "stats", "train", "eval", "report"])
+    def test_out_under_a_file_names_io_failure(self, tmp_path, tiny_config_path, tiny_features,
+                                               capsys, stage):
+        model = tmp_path / "model.bin"
+        if stage == "eval":
+            assert run("train", "--config", str(tiny_config_path), "--features",
+                       str(tiny_features), "--out", str(model)) == 0
+        inputs = {"synth": [], "report": [],
+                  "features": ["--dataset", str(tiny_features.parent / "dataset.json")],
+                  "eval": ["--features", str(tiny_features), "--model", str(model)]}
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        # a directory command is given the file, a file command a path inside it
+        out = blocker if stage in ("synth", "stats", "report") else blocker / "out.bin"
+        argv = inputs.get(stage, ["--features", str(tiny_features)])
+        capsys.readouterr()
+        assert run(stage, "--config", str(tiny_config_path), *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {stage}: IoFailure: cannot make directory {blocker}: " in err
+        assert "Traceback" not in err and blocker.read_text() == "kept"
 
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         code = run("features", "--dataset", str(tmp_path / "none.json"),

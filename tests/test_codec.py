@@ -3,6 +3,8 @@ writes, and named errors for every malformed file or config value."""
 
 import hashlib
 import json
+import pickle
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eegintent import model
+from eegintent import errors, model
 from eegintent.cli import default_run_config, load_run_config, main
 from eegintent.codec import write_atomic
 from eegintent.data import (
@@ -284,17 +286,21 @@ def test_trailing_blob_bytes_named(files, capsys, name):
         ({"report": {"seeds": "x"}}, "report.seeds"),
         ({"model": {"n_channels": 3}}, "model.n_channels"),
         ({"out_dir": 5}, "out_dir"),
+        ({"model": {"bin_freqs_hz": [1.0]}}, "model.bin_freqs_hz is not a known key"),
+        ({"model": {"bands": {}}}, "model.bands is not a known key"),
+        ({"bands": {}}, "bands must include delta, alpha, gamma"),
+        ({"bands": {"delta": [1, 4], "alpha": [8, 13]}}, "bands must include delta, alpha, gamma"),
     ],
 )
 def test_bad_config_value_names_key(tmp_path, capsys, config, key):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+    with pytest.raises(ValueError, match="^" + re.escape(key)):  # the key, not inside another
         load_run_config(str(path))
     # every stage checks the whole config before it does anything
     assert run("synth", "--config", path, "--out", tmp_path / "run") == 1
     err = capsys.readouterr().err
-    assert "synth: ValueError" in err and key in err
+    assert f"error: synth: ValueError: {key}" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 
@@ -335,6 +341,24 @@ def test_default_config_round_trips(tmp_path):
     path = tmp_path / "defaults.json"
     path.write_text(json.dumps(default_run_config(), sort_keys=True))
     assert load_run_config(str(path)).to_dict() == default_run_config()
+
+
+# the arguments of the errors whose __init__ builds the message
+ERROR_ARGS = {errors.DimensionMismatch: (3, (64, 3000), (64, 2999)), errors.NonFiniteSample: (3,),
+              errors.CellTooSmall: (1, 0, 1), errors.NonFiniteLoss: (3,)}
+
+
+# what a worker process would send or get back: every PipelineError and both configs
+@pytest.mark.parametrize(
+    "value",
+    [cls(*ERROR_ARGS.get(cls, ("a message",))) for cls in vars(errors).values()
+     if isinstance(cls, type) and issubclass(cls, PipelineError)]
+    + [load_run_config(None), ModelConfig(n_channels=3, bin_freqs_hz=FREQS, mmd_bandwidth=None)],
+    ids=lambda value: type(value).__name__,
+)
+def test_survives_pickle(value):
+    back = pickle.loads(pickle.dumps(value))
+    assert (type(back), str(back), vars(back)) == (type(value), str(value), vars(value))
 
 
 # --- the MMD term builds one distance matrix per step -----------------------
