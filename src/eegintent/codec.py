@@ -64,28 +64,24 @@ def write_header_file(path, header: dict, arrays) -> None:
     write_atomic(path, [line, *(np.ascontiguousarray(a, dtype="<f4") for a in arrays)])
 
 
-def read_header(path, fmt: str, kind: str, blob: bool = True):
-    """(header, blob): the first line and a memoryview of the rest, or with
-    blob=False the whole file and None. Checks in order: the file exists, the
-    header line exists, it is valid JSON, it is an object, its format is `fmt`."""
+def read_header(path, fmt: str, kind: str):
+    """(header, blob): the first line and a memoryview of the bytes after its
+    newline; a file without one is all header, its blob empty. Checks in order:
+    the file exists, the header is valid JSON, it is an object, its format is `fmt`."""
     if not Path(path).is_file():
         raise MissingFile(f"no {kind} at {path}")
     raw = Path(path).read_bytes()
-    body = None
-    if blob:
-        newline = raw.find(b"\n")
-        if newline < 0:
-            raise MalformedManifest(f"{path}: missing header line")
-        raw, body = raw[:newline], memoryview(raw)[newline + 1 :]
+    end = raw.find(b"\n")
+    end = len(raw) if end < 0 else end
     try:
-        header = json.loads(raw.decode("utf-8"))
+        header = json.loads(raw[:end].decode("utf-8"))
     except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise MalformedManifest(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise MalformedManifest(f"{path}: header must be a JSON object")
     if header.get("format") != fmt:
         raise MalformedManifest(f"{path}: expected format {fmt!r}, got {header.get('format')!r}")
-    return header, body
+    return header, memoryview(raw)[end + 1 :]
 
 
 @contextmanager
@@ -100,13 +96,11 @@ def header_fields(path):
 
 def unpack_floats(blob, shapes) -> list[np.ndarray]:
     """Read-only float32 arrays of `shapes`, laid end to end in `blob`.
-    ValueError unless the dims are non-negative integers, the arrays fill the
-    blob exactly, and each array is finite; call it inside header_fields."""
+    ValueError unless the arrays fill the blob exactly and each is finite;
+    call it inside header_fields."""
     arrays = []
     offset = 0
-    for shape in map(tuple, shapes):
-        if not all(is_int(d) and d >= 0 for d in shape):
-            raise ValueError(f"dims must be non-negative integers, got {shape}")
+    for shape in shapes:
         size = math.prod(shape)
         if offset + 4 * size > len(blob):
             raise ValueError(f"blob of {len(blob)} bytes is too short for {shape}")

@@ -4,14 +4,13 @@ blocking, and splitting.
 A dataset's trials are read-only float32 [channels x samples] arrays in
 microvolts made by a maker of trial i, plus int64 trial ids, class labels and
 domain labels (1 = misarticulated). On disk, written by save_dataset alone, it
-is a JSON manifest, which names the domains as DOMAIN_NAMES, plus one blob
-beside it that holds trial i channel-major as little-endian float32 at byte
-i * channels * samples * 4: a round trip is bit-exact.
+is a manifest, one codec header line naming the domains as DOMAIN_NAMES, plus
+its .bin sibling, a blob with trial i channel-major as little-endian float32
+at byte i * channels * samples * 4: a round trip is bit-exact.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,9 +24,9 @@ from .codec import (
     atomic_file,
     check_value,
     header_fields,
-    is_int,
     read_header,
-    write_text,
+    unpack_floats,
+    write_header_file,
 )
 from .errors import CellTooSmall, DimensionMismatch, IoFailure, MissingFile, NonFiniteSample
 from .montage import default_montage
@@ -36,7 +35,7 @@ N_CLASSES = 4
 
 DOMAIN_NAMES = ("correct", "misarticulated")  # domain label 0 and 1 in the files
 
-MANIFEST_FORMAT = "eegintent-dataset-v1"
+MANIFEST_FORMAT = "eegintent-dataset-v2"
 
 _BLAS_BLOCK = 1 << 18  # OpenBLAS runs a GEMM of m*n*k <= 4 * 65536 on the calling thread
 _MAP_CHUNK = 1024  # trials queued on map_trials's pool at once, as map queues its whole range
@@ -231,53 +230,42 @@ def save_dataset(dataset: Dataset, path, *, config_hash: str) -> None:
                 raise IoFailure(f"cannot write {blob}: trial {trial_ids[i]} was written short")
 
         map_trials(put, len(trial_ids))
-    entries = trial_entries(trial_ids, dataset.class_labels, dataset.domain_labels)
     manifest = {
         "format": MANIFEST_FORMAT,
         "config_hash": config_hash,
         "spec": spec.to_dict(),
         "channel_names": list(dataset.channel_names),
-        "trials": [
-            {**entry, "blob_file": blob.name, "byte_offset": i * nbytes,
-             "byte_length": nbytes}
-            for i, entry in enumerate(entries)
-        ],
+        "trials": trial_entries(trial_ids, dataset.class_labels, dataset.domain_labels),
     }
-    write_text(path, json.dumps(manifest, indent=1) + "\n")
+    write_header_file(path, manifest, [])
 
 
 def load_dataset(path) -> Dataset:
     """Read a manifest written by save_dataset, and each trial of its blob once;
     the Dataset's maker reads trial i by one os.pread (IoFailure if cut short).
 
-    The entries must give save_dataset's layout: the blob `path` with suffix
+    The manifest is its header line alone, and the blob is `path` with suffix
     .bin, of exactly its trials, trial i at byte i * channels * samples * 4.
-    Raises MissingFile, MalformedManifest (also for trailing bytes),
-    DimensionMismatch or NonFiniteSample; the latter two name the trial_id.
+    Raises MissingFile, MalformedManifest (also for trailing bytes in either
+    file), DimensionMismatch or NonFiniteSample; the latter two name the trial_id.
     """
     manifest_path = Path(path)
-    manifest, _ = read_header(manifest_path, MANIFEST_FORMAT, "manifest", blob=False)
+    manifest, rest = read_header(manifest_path, MANIFEST_FORMAT, "manifest")
     with header_fields(manifest_path):
+        unpack_floats(rest, [])  # nothing after the header line
         spec = AcquisitionSpec.from_dict(manifest["spec"])
         nbytes = 4 * spec.n_channels * spec.n_samples
-        rows = manifest["trials"]
-        trial_ids, class_labels, domain_labels = parse_trial_entries(rows)
-        blob_file = manifest_path.with_suffix(".bin").name
-        for i, row in enumerate(rows):
-            span = (row["blob_file"], row["byte_offset"], row["byte_length"])
-            if span != (blob_file, i * nbytes, nbytes) or not all(map(is_int, span[1:])):
-                raise DimensionMismatch(int(trial_ids[i]), (blob_file, i * nbytes, nbytes), span,
-                                        what="(blob_file, byte_offset, byte_length)")
-        blob_path = manifest_path.parent / blob_file
+        trial_ids, class_labels, domain_labels = parse_trial_entries(manifest["trials"])
+        blob_path, n = manifest_path.with_suffix(".bin"), len(trial_ids)
         if not blob_path.is_file():
             raise MissingFile(f"no blob file at {blob_path}")
         size = blob_path.stat().st_size
-        if size < len(rows) * nbytes:
+        if size < n * nbytes:
             i = size // nbytes
             raise DimensionMismatch(int(trial_ids[i]), f"{i * nbytes}..{(i + 1) * nbytes}",
-                                    f"a {size}-byte file", what=f"bytes of {blob_file}")
-        if size > len(rows) * nbytes:
-            raise ValueError(f"{size - len(rows) * nbytes} trailing bytes in {blob_file}")
+                                    f"a {size}-byte file", what=f"bytes of {blob_path.name}")
+        if size > n * nbytes:
+            raise ValueError(f"{size - n * nbytes} trailing bytes in {blob_path.name}")
 
         def read(i: int) -> np.ndarray:
             with open(blob_path, "rb") as fh:

@@ -31,7 +31,7 @@ from .data import DOMAIN_NAMES, N_CLASSES
 from .errors import EmptyGroup, NonFiniteLoss, ShapeMismatch
 from .spectral import BandTable
 
-MODEL_FORMAT = "eegintent-model-v1"
+MODEL_FORMAT = "eegintent-model-v2"
 
 SUPPRESSED_BANDS = ("delta", "alpha", "gamma")
 
@@ -549,7 +549,7 @@ def save_model(
     scaler: FeatureScaler,
     config_hash: str,
 ) -> None:
-    """One JSON header line (config + shapes + scaler), then float32 weights."""
+    """One JSON header line (config + scaler), then float32 weights in layer order."""
     layers = params.all_layers()
     header = {
         "format": MODEL_FORMAT,
@@ -557,14 +557,13 @@ def save_model(
         "mode": mode.value,
         "config": config.to_dict(),
         "feature_scaling": scaler.to_dict(),
-        "layer_shapes": [[list(layer.w.shape), list(layer.b.shape)] for layer in layers],
     }
     write_header_file(path, header, [a for layer in layers for a in (layer.w, layer.b)])
 
 
 def load_model(path) -> tuple[ModelParams, ModelConfig, TrainMode, FeatureScaler]:
-    """Read a file written by save_model; MalformedManifest unless the layer
-    shapes match the config's dims, the scaler its input dim, and all is finite."""
+    """Read a file written by save_model; MalformedManifest unless the weights fill
+    the config's layer shapes, the scaler its input dim, and all is finite."""
     header, blob = read_header(path, MODEL_FORMAT, "model file")
     with header_fields(path):
         config = ModelConfig.from_dict(header["config"])
@@ -574,11 +573,8 @@ def load_model(path) -> tuple[ModelParams, ModelConfig, TrainMode, FeatureScaler
             raise ValueError(f"feature_scaling has {len(scaler.mean)} entries for "
                              f"input dim {config.input_dim}")
         stacks = _stack_dims(config)
-        shapes = [[[a, b], [b]] for dims in stacks for a, b in zip(dims[:-1], dims[1:])]
-        if header["layer_shapes"] != shapes:
-            raise ValueError(f"layer_shapes {header['layer_shapes']} do not match "
-                             f"the config's dims {shapes}")
-        arrays = unpack_floats(blob, [s for pair in shapes for s in pair])
+        layer_dims = [(a, b) for dims in stacks for a, b in zip(dims[:-1], dims[1:])]
+        arrays = unpack_floats(blob, [s for a, b in layer_dims for s in ((a, b), (b,))])
         mask = input_mask(effective_config(config, mode))
     layers = [Layer(w.astype(np.float64), b.astype(np.float64))
               for w, b in zip(arrays[::2], arrays[1::2])]

@@ -30,7 +30,7 @@ from .errors import EmptyBand, NonPowerOfTwoLength, SignalTooShort
 
 PSD_FLOOR = 1e-12  # microvolt^2/Hz, applied before log10
 
-FEATURES_FORMAT = "eegintent-features-v1"
+FEATURES_FORMAT = "eegintent-features-v2"
 
 # --- FFT -----------------------------------------------------------------
 
@@ -287,9 +287,6 @@ def write_features(features: FeatureSet, path, *, sample_rate_hz: float, config_
     header = {
         "format": FEATURES_FORMAT,
         "config_hash": config_hash,
-        "n_trials": int(features.n_trials),
-        "n_channels": int(features.n_channels),
-        "n_bins": int(features.n_bins),
         "sample_rate_hz": sample_rate_hz,
         "bin_freqs_hz": [float(f) for f in features.bin_freqs_hz],
         "channel_names": list(features.channel_names),
@@ -301,19 +298,19 @@ def write_features(features: FeatureSet, path, *, sample_rate_hz: float, config_
 
 def read_features(path) -> FeatureSet:
     """Read a file written by write_features, its values the read-only float32
-    blob without a copy; MissingFile or MalformedManifest (naming the file)
-    when it is absent, truncated, inconsistent or not finite."""
+    blob without a copy, one per trial entry, channel name and bin; MissingFile
+    or MalformedManifest (naming the file) when it is absent, truncated,
+    inconsistent or not finite."""
     header, blob = read_header(path, FEATURES_FORMAT, "feature file")
     with header_fields(path):
-        shape = (header["n_trials"], header["n_channels"], header["n_bins"])
-        (values,) = unpack_floats(blob, [shape])
         bin_freqs = np.array(check_value(header["bin_freqs_hz"], tuple[float, ...], "bin_freqs_hz"))
-        if bin_freqs.shape != shape[2:] or (np.diff(bin_freqs) <= 0).any():
-            raise ValueError(f"bin_freqs_hz must be {shape[2]} increasing frequencies")
-        channel_names = check_channel_names(header["channel_names"], shape[1])
+        if (np.diff(bin_freqs) <= 0).any():
+            raise ValueError("bin_freqs_hz must be increasing frequencies")
+        names = header["channel_names"]
+        channel_names = check_channel_names(names, len(names))
         trial_ids, class_labels, domain_labels = parse_trial_entries(header["trials"])
-        if len(trial_ids) != shape[0]:
-            raise ValueError(f"{len(trial_ids)} trial entries for {shape[0]} trials")
+        shape = (len(trial_ids), len(channel_names), len(bin_freqs))
+        (values,) = unpack_floats(blob, [shape])
         sample_rate = float(check_value(header["sample_rate_hz"], float, "sample_rate_hz"))
         if sample_rate <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {sample_rate}")

@@ -265,6 +265,23 @@ class TestExitCodes:
         assert f"error: {stage}: IoFailure: cannot make directory {blocker}: " in err
         assert "Traceback" not in err and blocker.read_text() == "kept"
 
+    @pytest.mark.parametrize("stage, flag, given, kind, other", [
+        ("stats", "--features", "dataset.json", "features", "dataset"),
+        ("features", "--dataset", "features.bin", "dataset", "features"),
+        ("eval", "--model", "dataset.json", "model", "dataset"),
+        ("eval", "--model", "features.bin", "model", "features"),
+    ])
+    def test_wrong_kind_artifact_named(self, tmp_path, tiny_features, capsys,
+                                       stage, flag, given, kind, other):
+        path = tiny_features.parent / given
+        inputs = ["--features", str(tiny_features)] if stage == "eval" else []
+        out = tmp_path / "out"
+        assert run(stage, *inputs, flag, str(path), "--out", str(out)) == 1
+        printed, err = capsys.readouterr()
+        assert (f"error: {stage}: MalformedManifest: {path}: expected format "
+                f"'eegintent-{kind}-v2', got 'eegintent-{other}-v2'") in err
+        assert printed == "" and "Traceback" not in err and not out.exists()
+
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         code = run("features", "--dataset", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "f.bin"))
@@ -563,19 +580,15 @@ class TestStreamedStages:
 
     def test_manifest_reads_only_its_sibling_blob(self, tmp_path, tiny_features, capsys,
                                                   no_features):
-        # entries naming another directory's blob load none of its trials
+        # a manifest moved away from its blob loads none of the blob it was saved beside
         shutil.copy(tiny_features.parent / "dataset.bin", tmp_path / "dataset.bin")
-        manifest = json.loads((tiny_features.parent / "dataset.json").read_text())
-        for entry in manifest["trials"]:
-            entry["blob_file"] = "../dataset.bin"
         (tmp_path / "run").mkdir()
-        (tmp_path / "run" / "dataset.json").write_text(json.dumps(manifest))
+        shutil.copy(tiny_features.parent / "dataset.json", tmp_path / "run" / "dataset.json")
         out = tmp_path / "features.bin"
         assert run("features", "--dataset", str(tmp_path / "run" / "dataset.json"),
                    "--out", str(out)) == 1
         printed, err = capsys.readouterr()
-        assert ("error: features: DimensionMismatch: trial 0: expected (blob_file, byte_offset, "
-                f"byte_length) ('dataset.bin', 0, {TRIAL_BYTES}), got ('../dataset.bin'") in err
+        assert f"error: features: MissingFile: no blob file at {tmp_path}/run/dataset.bin" in err
         assert printed == "" and "Traceback" not in err and not out.exists()
 
     def test_stage_chain_peaks_below_a_quarter_of_the_trial_table(self, tmp_path):

@@ -42,10 +42,10 @@ from oracles import maker_of
 # SHA-256 of the files pinned_files writes, recorded from the release that
 # introduced each format; a codec change must not alter a byte of them.
 PINNED_DIGESTS = {
-    "features.bin": "cab8196280ba7833a00cc52b9d3288c9817f606e02330dfae7bf910a2c404590",
-    "model.bin": "842862d6aff0746fa419547b7426769b3236e5f6fa065f013f90a44d623576f1",
+    "features.bin": "531e61c10fdd3cdff63029caaf9fe457db0492923cfc7e3150ff847e58d7f8e8",
+    "model.bin": "b32d69719c1e54d3e24699a960da37cf18aeab848bb82b49197ed47df09fa70e",
     "set.bin": "94a4f7a267d0b40846003521590cf9567aecc7a29b4e0642aecc2d7321853102",
-    "set.json": "6cf2e927ce7e400193899bb60f4da3b0fdb90f1a806b3075464fa00e5c064388",
+    "set.json": "392743549424601e944b45503e1acc7d39cc673eff9bbe44058bc3fd05a406c6",
 }
 
 FREQS = (2.0, 6.0, 10.0, 35.0)
@@ -177,9 +177,10 @@ def test_manifest_trials_not_a_list(files, capsys):
 def corrupt_features(path: Path, defect: str) -> None:
     header, blob = header_and_blob(path)
     values = np.frombuffer(blob, dtype="<f4").copy()
-    if defect == "negative dims":
-        header["n_trials"], header["n_channels"] = -3, -3
-    elif defect == "nan":
+    if defect == "header only":  # cut right after the header JSON: no newline, no blob
+        path.write_bytes(json.dumps(header).encode())
+        return
+    if defect == "nan":
         values[5] = np.nan
     elif defect == "bin_freqs_hz":
         header["bin_freqs_hz"] = header["bin_freqs_hz"][:-1]
@@ -194,7 +195,7 @@ def corrupt_features(path: Path, defect: str) -> None:
     rewrite(path, header, values.tobytes())
 
 
-@pytest.mark.parametrize("defect", ["negative dims", "nan", "bin_freqs_hz",
+@pytest.mark.parametrize("defect", ["header only", "nan", "bin_freqs_hz",
                                     "channel_names", "trials", "class_label",
                                     *(f"sample_rate_hz={v}" for v in
                                       ("NaN", "-Infinity", "true", "-5", '"fast"'))])
@@ -223,8 +224,6 @@ def corrupt_model(path: Path, defect: str) -> None:
     weights = np.frombuffer(blob, dtype="<f4").copy()
     if defect == "inf":
         weights[3] = np.inf
-    elif defect == "negative shape":
-        header["layer_shapes"][0] = [[12, -5], [-5]]
     elif defect == "swapped heads":  # shapes that would put layers in the wrong head
         header["config"]["encoder_dims"] = [5]
         header["config"]["class_head_dims"] = [3, 4]
@@ -242,7 +241,7 @@ def corrupt_model(path: Path, defect: str) -> None:
     rewrite(path, header, weights.tobytes())
 
 
-@pytest.mark.parametrize("defect", ["inf", "negative shape", "swapped heads",
+@pytest.mark.parametrize("defect", ["inf", "swapped heads",
                                     "scaler length", "scaler std", "null scaler",
                                     "no scaler", "negative dims in config"])
 def test_bad_model_file_named(files, capsys, defect):
@@ -254,6 +253,41 @@ def test_bad_model_file_named(files, capsys, defect):
                "--out", out) == 1
     err = capsys.readouterr().err
     assert "eval: MalformedManifest" in err and "model.bin" in err
+
+
+def v1_form(path: Path) -> None:
+    """Rewrite a pinned file in its v1 form: the manifest pretty-printed with
+    each trial's blob span, the feature header with its dims, the model
+    header with its layer shapes."""
+    header, blob = header_and_blob(path)
+    header["format"] = header["format"].replace("-v2", "-v1")
+    if path.suffix == ".json":
+        for i, entry in enumerate(header["trials"]):
+            entry.update(blob_file="set.bin", byte_offset=i * 384, byte_length=384)
+        path.write_text(json.dumps(header, indent=1) + "\n")
+        return
+    if "trials" in header:
+        header.update(n_trials=3, n_channels=3, n_bins=4)
+    else:
+        header["layer_shapes"] = [[[a, b], [b]] for a, b in ((12, 5), (5, 3), (3, 4), (3, 2))]
+    rewrite(path, header, blob)
+
+
+@pytest.mark.parametrize("name, stage, flag", [("set.json", "features", "--dataset"),
+                                               ("features.bin", "stats", "--features"),
+                                               ("model.bin", "eval", "--model")])
+def test_v1_files_refused_by_name(files, capsys, name, stage, flag):
+    # one read path: a file of the earlier form is named, not read
+    v1_form(files[name])
+    reader = {"set.json": load_dataset, "features.bin": read_features, "model.bin": load_model}
+    with pytest.raises(MalformedManifest, match=re.escape(f"{files[name]}: ")):
+        reader[name](files[name])
+    out = files[name].parent / "out"
+    inputs = ["--features", files["features.bin"]] if stage == "eval" else []
+    assert run(stage, *inputs, flag, files[name], "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"MalformedManifest: {files[name]}: " in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("name", ["features.bin", "model.bin"])
@@ -434,15 +468,14 @@ def test_bit_flipped_files(pristine, name, where, bit):
 @given(st.sampled_from(["set.json", "features.bin", "model.bin"]), JSON)
 def test_replaced_headers(pristine, name, value):
     raw = pristine[name]
-    blob = b"" if name == "set.json" else raw[raw.index(b"\n"):]
-    read_mutated(pristine, name, json.dumps(value).encode() + blob)
+    read_mutated(pristine, name, json.dumps(value).encode() + raw[raw.index(b"\n"):])
 
 
 @FUZZ
 @given(st.sampled_from(["set.json", "features.bin", "model.bin"]), st.data(), JSON)
 def test_replaced_header_fields(pristine, name, data, value):
     raw = pristine[name]
-    newline = len(raw) if name == "set.json" else raw.index(b"\n")
+    newline = raw.index(b"\n")
     header = json.loads(raw[:newline])
     target, key = header, data.draw(st.sampled_from(sorted(header)))
     child = target[key]

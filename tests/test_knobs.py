@@ -13,7 +13,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "eegintent"
 KEPT = {
     "cli.load_run_config(args)",  # None for a call without parsed flags
     "cli.main(argv)",  # None reads sys.argv
-    "codec.read_header(blob)",  # False for the dataset manifest
     "errors.DimensionMismatch.__init__(what)",  # the blob layout messages
     "synth.generate_dataset(path)",  # None in memory, a manifest path to check room for first
 }
